@@ -12,6 +12,7 @@ tensor dump format plus the run-config document; round-trips are bit-exact.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import struct
@@ -281,12 +282,16 @@ class Embedder:
                      T.reshape(self.head_b, (1, self.embed_dim)))
 
     def embed(self, x: Tensor, training: bool = False) -> Tensor:
-        """Unit-norm embeddings; raises rather than dividing by a zero norm."""
-        raw = self.forward(x, training)
-        sq = T.reduce(T.mul(raw, raw), (1,), "sum", keepdims=True)
-        if np.any(sq.data <= 0.0):
-            raise NumericalError("embedding collapsed to the zero vector before normalization")
-        return T.div(raw, T.sqrt(sq))
+        """Unit-norm embeddings; raises rather than dividing by a zero norm.
+
+        Eval mode (``training`` False) runs under ``no_grad()``: it records
+        no tape and returns a tensor with ``requires_grad`` False."""
+        with contextlib.nullcontext() if training else T.no_grad():
+            raw = self.forward(x, training)
+            sq = T.reduce(T.mul(raw, raw), (1,), "sum", keepdims=True)
+            if np.any(sq.data <= 0.0):
+                raise NumericalError("embedding collapsed to the zero vector before normalization")
+            return T.div(raw, T.sqrt(sq))
 
 
 def embed_utterance(features: Tensor, embedder: Embedder) -> Tensor:

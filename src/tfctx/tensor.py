@@ -6,12 +6,21 @@ precision. Every operation that produces a tensor from recorded inputs
 attaches a closure computing the vector-Jacobian product; ``backward`` on a
 scalar replays the recorded graph once, in reverse topological order.
 
+The tape lives only as long as it is needed. ``backward`` consumes it:
+once a node's vector-Jacobian product has run, the node drops its closure
+and its parents, so an intermediate nobody else holds is freed during the
+replay, gradient included. Tensors the caller still holds keep their
+``grad``. Inside ``no_grad()`` nothing is recorded at all, which is how
+inference (``Embedder.embed`` in eval mode) and the numeric side of the
+finite-difference checkers run.
+
 Stored values are required to be finite. A NaN or Inf anywhere raises
 ``NumericalError`` at the op that produced it instead of propagating silently.
 """
 
 from __future__ import annotations
 
+import contextlib
 import struct
 from typing import Callable, Iterable, Sequence
 
@@ -20,6 +29,24 @@ import numpy as np
 from .errors import NumericalError, ShapeError
 
 DEFAULT_DTYPE = np.float64
+
+# cleared inside no_grad(): ops then record no closure and no parents
+_recording = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Record no tape inside the block: every op returns a tensor with
+    ``requires_grad`` False that keeps no closure or parents. Nestable; the
+    previous state comes back on exit, also on an exception. The switch is
+    process-wide, not per thread."""
+    global _recording
+    previous = _recording
+    _recording = False
+    try:
+        yield
+    finally:
+        _recording = previous
 
 
 def _as_array(data, dtype=None) -> np.ndarray:
@@ -36,7 +63,8 @@ class Tensor:
     ``grad`` is populated with an identically shaped array after backward.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_backward_done")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_backward_done",
+                 "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         self.data = _as_array(data, dtype)
@@ -52,13 +80,14 @@ class Tensor:
     def _from_op(cls, data: np.ndarray, parents: Sequence["Tensor"],
                  vjp: Callable[[np.ndarray], None]) -> "Tensor":
         """Record one primitive application. ``vjp`` receives the output
-        gradient and must accumulate into each requiring parent's ``grad``."""
+        gradient and must accumulate into each requiring parent's ``grad``.
+        Inside ``no_grad()`` neither is stored."""
         out = cls.__new__(cls)
         out.data = data
         if not np.all(np.isfinite(data)):
             raise NumericalError("operation produced non-finite values")
         out.grad = None
-        out.requires_grad = any(p.requires_grad for p in parents)
+        out.requires_grad = _recording and any(p.requires_grad for p in parents)
         out._backward_done = False
         if out.requires_grad:
             out._parents = tuple(parents)
@@ -105,8 +134,12 @@ class Tensor:
     def backward(self) -> None:
         """Populate ``grad`` on every reachable requires_grad tensor.
 
-        Only valid on scalars (one element). Calling it a second time on the
-        same recorded graph is an error: the tape is consumed by the replay.
+        Only valid on scalars (one element). The replay consumes the tape:
+        each node drops its closure and parents once its vector-Jacobian
+        product has run, so intermediates the caller does not hold are
+        freed on the way, and the ones it holds keep their ``grad``.
+        Calling backward again on this graph, or on a new graph that reaches
+        one of its interior nodes, is an error: re-record the forward pass.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward requires a scalar loss, got shape {self.shape}")
@@ -125,6 +158,9 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._backward_done:
+                raise RuntimeError("graph reaches a tensor whose tape an earlier backward consumed; "
+                                   "re-record the forward pass first")
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
@@ -132,11 +168,15 @@ class Tensor:
                     stack.append((p, False))
 
         self._accumulate(np.ones_like(self.data))
-        for node in reversed(order):
-            if node._vjp is not None and node.grad is not None:
+        while order:
+            node = order.pop()
+            if node._vjp is None:
+                continue  # a leaf
+            if node.grad is not None:
                 node._vjp(node.grad)
-                node._backward_done = True
-        self._backward_done = True
+            node._vjp = None
+            node._parents = ()
+            node._backward_done = True
 
     # -- operator sugar -----------------------------------------------------
 
@@ -699,14 +739,15 @@ def finite_diff_check(fn: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5
 
     numeric = np.empty(base.size)
     flat = base.reshape(-1)
-    for i in range(base.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        up = fn(Tensor(base)).item()
-        flat[i] = orig - h
-        down = fn(Tensor(base)).item()
-        flat[i] = orig
-        numeric[i] = (up - down) / (2.0 * h)
+    with no_grad():
+        for i in range(base.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            up = fn(Tensor(base)).item()
+            flat[i] = orig - h
+            down = fn(Tensor(base)).item()
+            flat[i] = orig
+            numeric[i] = (up - down) / (2.0 * h)
 
     denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
     return float(np.max(np.abs(analytic - numeric) / denom)) if base.size else 0.0
@@ -719,7 +760,8 @@ def finite_diff_check_params(loss_fn: Callable[[], Tensor],
     differences.
 
     ``loss_fn`` re-runs the forward pass reading each parameter's current
-    ``data``; parameters are perturbed in place for the numeric side.
+    ``data``; parameters are perturbed in place for the numeric side, which
+    runs under ``no_grad()``.
     Returns the max relative error per parameter name.
     """
     params = list(named_params)
@@ -731,11 +773,8 @@ def finite_diff_check_params(loss_fn: Callable[[], Tensor],
     for _, p in params:
         p.grad = None
 
-    flags = [p.requires_grad for _, p in params]
-    for _, p in params:
-        p.requires_grad = False
-    try:
-        errors: dict[str, float] = {}
+    errors: dict[str, float] = {}
+    with no_grad():
         for name, p in params:
             flat = p.data.reshape(-1)
             numeric = np.empty(flat.size)
@@ -750,9 +789,6 @@ def finite_diff_check_params(loss_fn: Callable[[], Tensor],
             a = analytic[name].reshape(-1)
             denom = np.maximum(1.0, np.maximum(np.abs(a), np.abs(numeric)))
             errors[name] = float(np.max(np.abs(a - numeric) / denom)) if flat.size else 0.0
-    finally:
-        for (_, p), flag in zip(params, flags):
-            p.requires_grad = flag
     return errors
 
 

@@ -8,6 +8,9 @@ evaluation embeds center chunks with frozen parameters.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
 import os
 
 import numpy as np
@@ -60,31 +63,46 @@ def fbank_config(cfg: RunConfig) -> features.FbankConfig:
 
 
 def _cache_dir(cfg: RunConfig) -> str:
-    f = cfg.features
-    tag = f"fbank_cache_{f.n_mels}x{f.fft_size}_{f.win_ms:g}x{f.hop_ms:g}"
-    return os.path.join(cfg.data.data_dir, tag)
+    """The fbank cache for this config: named by a digest of every
+    FbankConfig field, so that changing any of them misses the old cache."""
+    fields = json.dumps(dataclasses.asdict(fbank_config(cfg)), sort_keys=True)
+    digest = hashlib.sha256(fields.encode()).hexdigest()[:16]
+    return os.path.join(cfg.data.data_dir, f"fbank_cache_{digest}")
 
 
 def load_features(cfg: RunConfig, rel_paths, use_cache: bool = True) -> dict[str, np.ndarray]:
     """Mean-normalized (n_mels, T) features per relative path; raw fbanks go
-    through an on-disk cache in the tensor dump format."""
+    through an on-disk cache in the tensor dump format. Each entry starts
+    with its wav's size and modification time, so a rewritten wav misses
+    and its entry is replaced."""
     fb_cfg = fbank_config(cfg)
     cache_dir = _cache_dir(cfg)
     out = {}
     for rel in rel_paths:
         if rel in out:
             continue
+        wav_path = os.path.join(cfg.data.data_dir, rel)
         cache_path = os.path.join(cache_dir, rel + ".tfd")
         fbank = None
-        if use_cache and os.path.exists(cache_path):
-            with open(cache_path, "rb") as f:
-                fbank = load_tensor(f)
+        if use_cache:
+            try:
+                st = os.stat(wav_path)
+            except FileNotFoundError:
+                raise DataError(f"audio file not found: {wav_path}") from None
+            # split so that every part is exact in float64
+            stamp = np.array([st.st_size, st.st_mtime_ns // 10**9, st.st_mtime_ns % 10**9],
+                             dtype=np.float64)
+            if os.path.exists(cache_path):
+                with open(cache_path, "rb") as f:
+                    if np.array_equal(load_tensor(f), stamp):
+                        fbank = load_tensor(f)
         if fbank is None:
-            wav = features.read_wav(os.path.join(cfg.data.data_dir, rel))
+            wav = features.read_wav(wav_path)
             fbank = features.compute_fbank(wav, fb_cfg)
             if use_cache:
                 os.makedirs(os.path.dirname(cache_path), exist_ok=True)
                 with open(cache_path, "wb") as f:
+                    save_tensor(f, stamp)
                     save_tensor(f, fbank)
         out[rel] = features.mean_normalize(fbank, cfg.features.mean_norm)
     return out
@@ -117,8 +135,9 @@ def _batches(entries, speakers_per_batch: int, m: int, rng: np.random.Generator)
 
 def train_run(cfg: RunConfig, out_dir: str, quiet: bool = False) -> str:
     """Train per the config; returns the final checkpoint path. Writes
-    train.log and one checkpoint per epoch; a non-finite loss or gradient
-    aborts with the last finished epoch's checkpoint kept on disk."""
+    train.log (replacing an earlier run's) and one checkpoint per epoch; a
+    non-finite loss or gradient aborts with the last finished epoch's
+    checkpoint kept on disk."""
     os.makedirs(out_dir, exist_ok=True)
     manifest = features.read_manifest(os.path.join(cfg.data.data_dir, TRAIN_MANIFEST))
     speakers = sorted({spk for spk, _ in manifest})
@@ -147,7 +166,7 @@ def train_run(cfg: RunConfig, out_dir: str, quiet: bool = False) -> str:
         entries = [(n, p.data) for n, p in named] + list(embedder.named_state())
         backbone.save_checkpoint(path, entries, config_doc)
 
-    with open(log_path, "a") as log:
+    with open(log_path, "w") as log:
         step = 0
         last = None
         for epoch in range(tr.epochs):

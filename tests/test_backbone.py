@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from tfctx import backbone, blocks
+from tfctx import backbone, blocks, losses, optim
 from tfctx import tensor as T
 from tfctx.errors import DataError, ShapeError
 from tfctx.tensor import Tensor
@@ -146,11 +148,78 @@ class TestEmbedder:
         x = Tensor(np.random.default_rng(21).normal(size=(2, 1, 16, 20)))
         assert emb.embed(x).shape == plain.embed(x).shape
 
+    def test_eval_embed_records_no_tape(self):
+        factory = make_gcm_factory(kind="attention", transform="fc", reduction=2,
+                                   tfe=True, tfe_groups=2)
+        emb = toy_embedder(make_gcm=factory, seed=4)
+        x = Tensor(np.random.default_rng(24).normal(size=(3, 1, 16, 20)))
+        out = emb.embed(x, training=False)
+        assert not out.requires_grad
+        # the same eval-mode forward, recorded
+        raw = emb.forward(x, training=False)
+        taped = T.div(raw, T.sqrt(T.reduce(T.mul(raw, raw), (1,), "sum", keepdims=True)))
+        assert taped.requires_grad
+        assert out.data.tobytes() == taped.data.tobytes()
+
     def test_last_stage_only(self):
         factory = make_gcm_factory(kind="gap", transform="fc", reduction=2)
         emb = toy_embedder(make_gcm=factory, gcm_stages="last", seed=3)
         names = [n for n, _ in emb.named_parameters() if ".gcm." in n]
         assert names and all(n.startswith("stage3.") for n in names)
+
+
+class TestTapeMemory:
+    """Deterministic heap peaks (tracemalloc, no timing) of a tiny Att+TFE
+    embedder: a finished batch or step must not keep its graph alive while
+    the next one records."""
+
+    LABELS = [0, 0, 1, 1, 2, 2, 3, 3]
+
+    @pytest.fixture
+    def model(self):
+        factory = make_gcm_factory(kind="attention", transform="fc", reduction=2,
+                                   tfe=True, tfe_groups=2)
+        emb = toy_embedder(make_gcm=factory, seed=8)
+        head = losses.ClassifierHead(4, 8, np.random.default_rng(9))
+        proto = losses.ProtoParams()
+        opt = optim.AdamW(emb.named_parameters() + head.named_parameters()
+                          + proto.named_parameters())
+        x = Tensor(np.random.default_rng(25).normal(size=(8, 1, 16, 40)))
+        return emb, head, proto, opt, x
+
+    @staticmethod
+    def _peak(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_eval_batches_do_not_stack(self, model):
+        emb, _, _, _, x = model
+
+        def batches(k):
+            out = None  # held across batches, as extract_embeddings does
+            for _ in range(k):
+                out = emb.embed(x, training=False)
+
+        assert self._peak(batches, 3) <= 1.5 * self._peak(batches, 1)
+
+    def test_train_steps_do_not_stack(self, model):
+        emb, head, proto, opt, x = model
+
+        def steps(k):
+            total = None  # held across steps, as train_run does
+            for _ in range(k):
+                grouped = emb.embed(x, training=True).reshape((4, 2, 8))
+                total = losses.combined_loss(grouped, self.LABELS, head, proto)[0]
+                opt.zero_grad()
+                total.backward()
+                opt.step()
+
+        steps(1)  # allocate gradients and optimizer moments outside the trace
+        assert self._peak(steps, 3) <= 1.15 * self._peak(steps, 1)
 
 
 class TestParameterCount:

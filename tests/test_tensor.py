@@ -1,4 +1,5 @@
 import io
+import weakref
 
 import numpy as np
 import pytest
@@ -260,6 +261,59 @@ class TestBackward:
         loss = T.add(T.mul(x, x), T.mul(x, 3.0)).sum()  # x^2 + 3x
         loss.backward()
         np.testing.assert_allclose(x.grad, [2 * 2.0 + 3.0])
+
+    def test_consumed_interior_node_rejected(self):
+        # a second graph built on an interior node of a replayed one would
+        # silently re-run (or, with its tape gone, skip) that node's VJP
+        x = T.Tensor([1.0], requires_grad=True)
+        y = T.mul(x, x)
+        y.sum().backward()
+        with pytest.raises(RuntimeError, match="consumed"):
+            T.mul(y, 3.0).sum().backward()
+        np.testing.assert_allclose(x.grad, [2.0])
+
+    def test_intermediate_freed_after_backward(self):
+        x = T.Tensor(np.linspace(-1.0, 1.0, 6), requires_grad=True)
+        h = T.tanh(x)
+        ref = weakref.ref(h)
+        loss = T.mul(h, h).sum()
+        del h
+        assert ref() is not None  # held by the recorded graph
+        loss.backward()
+        assert ref() is None
+        np.testing.assert_allclose(x.grad, 2 * np.tanh(x.data) * (1 - np.tanh(x.data) ** 2))
+
+    def test_held_intermediate_keeps_grad(self):
+        x = T.Tensor([0.5, -1.0], requires_grad=True)
+        h = T.mul(x, 3.0)
+        T.mul(h, h).sum().backward()
+        np.testing.assert_allclose(h.grad, 2 * h.data)
+        np.testing.assert_allclose(x.grad, 18 * x.data)
+
+
+class TestNoGrad:
+    def test_records_nothing(self):
+        x = T.Tensor([1.0, 2.0], requires_grad=True)
+        with T.no_grad():
+            y = T.mul(T.exp(x), x)
+        assert not y.requires_grad
+        assert y._vjp is None and y._parents == ()
+        np.testing.assert_array_equal(y.data, T.mul(T.exp(x), x).data)
+
+    def test_nested_and_restored(self):
+        x = T.Tensor([1.0], requires_grad=True)
+        with T.no_grad():
+            with T.no_grad():
+                pass
+            assert not T.mul(x, x).requires_grad
+        assert T.mul(x, x).requires_grad
+
+    def test_restored_on_exception(self):
+        x = T.Tensor([1.0], requires_grad=True)
+        with pytest.raises(ShapeError):
+            with T.no_grad():
+                T.matmul(x, x)  # rank-1 operands
+        assert T.mul(x, x).requires_grad
 
 
 class TestFiniteDiff:
