@@ -1,16 +1,17 @@
 #!/usr/bin/env python3
 """Insertion-position ablation: train the attention+TFE variant with the
 context block placed after the batch norm, before it, or before the first
-convolution of each residual branch, and compare EER/minDCF.
+convolution of each residual branch, and compare EER/minDCF. Uses the toy
+configuration and the train-and-score loop of toy_sweep.py.
 
     python scripts/ablate_insertion.py --workdir runs/ablate --epochs 7
 """
 
 import argparse
 import os
-import time
 
-from tfctx import config, metrics, train
+from tfctx import config
+from toy_sweep import prepare_corpus, train_and_score, variant_config
 
 POSITIONS = ("after_bn", "before_bn", "before_conv")
 
@@ -22,32 +23,13 @@ def main():
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args()
 
-    base = config.RunConfig()
-    base.seed = args.seed
-    base.data.data_dir = os.path.join(args.workdir, "data")
-    if not os.path.exists(os.path.join(base.data.data_dir, train.TRAIN_MANIFEST)):
-        print("synthesizing corpus ...")
-        train.synth_corpus(base)
-    trials = metrics.read_trials(os.path.join(base.data.data_dir, train.TRIALS_FILE))
-
+    trials = prepare_corpus(variant_config(args.workdir, "att_gcm_tfe", args.epochs, args.seed))
     print(f"{'position':12s} {'train':>8s} {'EER':>8s} {'minDCF':>8s}")
     for position in POSITIONS:
-        cfg = config.RunConfig()
-        cfg.seed = args.seed
-        cfg.data.data_dir = base.data.data_dir
+        cfg = variant_config(args.workdir, "att_gcm_tfe", args.epochs, args.seed)
         cfg.out_dir = os.path.join(args.workdir, position)
-        cfg.train.epochs = args.epochs
-        cfg.train.speakers_per_batch = 20
-        cfg.model.block.kind = "att_gcm"
-        cfg.model.block.tfe = True
         cfg.model.block.insertion = position
-        config.validate(cfg)
-        t0 = time.time()
-        ckpt = train.train_run(cfg, cfg.out_dir, quiet=True)
-        elapsed = time.time() - t0
-        embedder, ckpt_cfg = train.load_embedder(ckpt)
-        _, eer, dcf, _ = train.evaluate_run(ckpt_cfg, embedder, trials,
-                                            os.path.join(cfg.out_dir, "eval"))
+        elapsed, eer, dcf = train_and_score(config.validate(cfg), trials)
         print(f"{position:12s} {elapsed:7.1f}s {100 * eer:7.2f}% {dcf:8.4f}")
 
 

@@ -38,6 +38,29 @@ def variant_config(workdir, name, epochs, seed):
     return config.validate(cfg)
 
 
+def prepare_corpus(cfg):
+    """Synthesize the corpus under cfg.data.data_dir unless it is there;
+    returns its trial list."""
+    if not os.path.exists(os.path.join(cfg.data.data_dir, train.TRAIN_MANIFEST)):
+        print("synthesizing corpus ...")
+        train.synth_corpus(cfg)
+    return metrics.read_trials(os.path.join(cfg.data.data_dir, train.TRIALS_FILE))
+
+
+def train_and_score(cfg, trials):
+    """Train cfg into cfg.out_dir and score its final checkpoint on the
+    trials; returns (train seconds, EER, minDCF)."""
+    t0 = time.time()
+    ckpt = train.train_run(cfg, cfg.out_dir, quiet=True)
+    elapsed = time.time() - t0
+    embedder, ckpt_cfg = train.load_embedder(ckpt)
+    _, eer, dcf, skipped = train.evaluate_run(ckpt_cfg, embedder, trials,
+                                              os.path.join(cfg.out_dir, "eval"))
+    if skipped:
+        print(f"warning: {len(skipped)} utterances missing", file=sys.stderr)
+    return elapsed, eer, dcf
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--workdir", default="runs/sweep")
@@ -45,24 +68,12 @@ def main():
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args()
 
-    base = variant_config(args.workdir, "se", args.epochs, args.seed)
-    if not os.path.exists(os.path.join(base.data.data_dir, train.TRAIN_MANIFEST)):
-        print("synthesizing corpus ...")
-        train.synth_corpus(base)
-    trials = metrics.read_trials(os.path.join(base.data.data_dir, train.TRIALS_FILE))
-
+    trials = prepare_corpus(variant_config(args.workdir, "se", args.epochs, args.seed))
     print(f"{'variant':14s} {'train':>8s} {'EER':>8s} {'minDCF':>8s}")
     results = {}
     for name in VARIANTS:
         cfg = variant_config(args.workdir, name, args.epochs, args.seed)
-        t0 = time.time()
-        ckpt = train.train_run(cfg, cfg.out_dir, quiet=True)
-        elapsed = time.time() - t0
-        embedder, ckpt_cfg = train.load_embedder(ckpt)
-        _, eer, dcf, skipped = train.evaluate_run(ckpt_cfg, embedder, trials,
-                                                  os.path.join(cfg.out_dir, "eval"))
-        if skipped:
-            print(f"warning: {len(skipped)} utterances missing", file=sys.stderr)
+        elapsed, eer, dcf = train_and_score(cfg, trials)
         results[name] = eer
         print(f"{name:14s} {elapsed:7.1f}s {100 * eer:7.2f}% {dcf:8.4f}")
 

@@ -135,47 +135,26 @@ class ResidualBlock:
         return T.relu(T.add(y, identity))
 
 
-class AttentiveStatsPool:
-    """Per-frame scalar attention (one-hidden-layer MLP, softmax over time);
-    pools frames into concatenated weighted mean and standard deviation."""
+class AttentiveStatsPool(blocks.AttentionContext):
+    """Attentive statistics pooling over the frame axis: the blocks'
+    attention context on (N, D, T) frames viewed as (N, D, 1, T) maps, so its
+    softmax runs over time; returns the weighted mean and standard deviation
+    concatenated."""
 
     VAR_FLOOR = 1e-8
-
-    def __init__(self, in_dim: int, hidden: int, rng: np.random.Generator | None = None):
-        rng = rng if rng is not None else np.random.default_rng(0)
-        self.in_dim = in_dim
-        self.hidden = hidden
-        self.proj = Tensor(rng.normal(0.0, 1.0 / math.sqrt(in_dim), (hidden, in_dim)),
-                           requires_grad=True)
-        self.proj_bias = Tensor(np.zeros(hidden), requires_grad=True)
-        self.score_vec = Tensor(rng.normal(0.0, 1.0 / math.sqrt(hidden), (hidden,)),
-                                requires_grad=True)
-        self.score_bias = Tensor(np.zeros(1), requires_grad=True)
-
-    def named_parameters(self, prefix):
-        return [(f"{prefix}.proj", self.proj), (f"{prefix}.proj_bias", self.proj_bias),
-                (f"{prefix}.score_vec", self.score_vec), (f"{prefix}.score_bias", self.score_bias)]
 
     def __call__(self, frames: Tensor) -> Tensor:
         """(N, D, T) frames -> (N, 2D) pooled stats."""
         if frames.ndim != 3:
             raise ShapeError(f"expected (N, D, T) frames, got {frames.shape}")
-        h = T.tanh(T.add(T.einsum2("hd,ndt->nht", self.proj, frames),
-                         T.reshape(self.proj_bias, (1, self.hidden, 1))))
-        scores = T.add(T.einsum2("h,nht->nt", self.score_vec, h), self.score_bias)
-        weights = T.softmax_over(scores, (1,))
-        mean = T.einsum2("nt,ndt->nd", weights, frames)
-        sq_mean = T.einsum2("nt,ndt->nd", weights, T.mul(frames, frames))
+        n, d, t = frames.shape
+        m = T.reshape(frames, (n, d, 1, t))
+        weights = self.weights(m)
+        mean = self.weighted_mean(weights, m)
+        sq_mean = self.weighted_mean(weights, T.mul(m, m))
         var = T.add(sq_mean, T.mul(T.mul(mean, mean), -1.0))
         std = T.sqrt(T.clamp_min(var, self.VAR_FLOOR))
         return T.concat([mean, std], 1)
-
-
-def asp_pool(frames: Tensor, pool: AttentiveStatsPool) -> Tensor:
-    """Single-utterance (D, T) form of the pooling."""
-    if frames.ndim != 2:
-        raise ShapeError(f"expected (D, T) frames, got {frames.shape}")
-    return T.reshape(pool(T.reshape(frames, (1,) + frames.shape)), (2 * frames.shape[0],))
 
 
 def _conv_out(n: int, stride: int) -> int:
@@ -292,14 +271,6 @@ class Embedder:
             if np.any(sq.data <= 0.0):
                 raise NumericalError("embedding collapsed to the zero vector before normalization")
             return T.div(raw, T.sqrt(sq))
-
-
-def embed_utterance(features: Tensor, embedder: Embedder) -> Tensor:
-    """(1, F, T) single-channel features -> unit-norm (embed_dim,) vector."""
-    if features.ndim != 3 or features.shape[0] != 1:
-        raise ShapeError(f"expected (1, F, T) features, got {features.shape}")
-    out = embedder.embed(T.reshape(features, (1,) + features.shape))
-    return T.reshape(out, (embedder.embed_dim,))
 
 
 # -- analytic parameter counting ------------------------------------------------

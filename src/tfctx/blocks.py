@@ -1,15 +1,17 @@
 """Channel and time-frequency recalibration blocks.
 
-All blocks share one pipeline over a (C, F, T) feature map: summarize the
-map into a per-channel context vector, mix channels through a small
-transform, gate the map with a sigmoid of the mixed context, and optionally
-re-weight individual time-frequency positions from the similarity between
-each local feature vector and the (group-wise) context.
+All blocks share one pipeline over an (N, C, F, T) batch of feature maps:
+summarize each map into a per-channel context vector, mix channels through
+a small transform, gate the map with a sigmoid of the mixed context, and
+optionally re-weight individual time-frequency positions from the
+similarity between each local feature vector and the (group-wise) context.
 
 Context variants:
   * gap        - plain per-channel mean (squeeze-excitation style)
   * attention  - query-independent attention over all (f, t) positions;
-                 one mask shared by every channel
+                 one mask shared by every channel. The same module is the
+                 pooling core of the backbone's attentive statistics pooling,
+                 which feeds it (N, D, 1, T) frames
   * multi_dct  - projections onto the K lowest 2D-DCT grids, max over K
 
 With a zeroed attention MLP the attention context degenerates to the mean,
@@ -28,32 +30,12 @@ from .dct import DctBasisSet, build_basis_set
 from .errors import ShapeError
 from .tensor import Tensor
 
-# -- helpers ------------------------------------------------------------------
-
-
-def _batched(feature_map: Tensor) -> tuple[Tensor, bool]:
-    if feature_map.ndim == 3:
-        return T.reshape(feature_map, (1,) + feature_map.shape), False
-    if feature_map.ndim == 4:
-        return feature_map, True
-    raise ShapeError(f"feature map must be (C,F,T) or (N,C,F,T), got {feature_map.shape}")
-
-
-def _unbatch_vec(vec: Tensor, was_batched: bool) -> Tensor:
-    return vec if was_batched else T.reshape(vec, vec.shape[1:])
-
-
-def _unbatch_map(m: Tensor, was_batched: bool) -> Tensor:
-    return m if was_batched else T.reshape(m, m.shape[1:])
-
-
 # -- context summaries ---------------------------------------------------------
 
 
 def se_squeeze(feature_map: Tensor) -> Tensor:
     """Per-channel mean over the time-frequency grid."""
-    m, batched = _batched(feature_map)
-    return _unbatch_vec(T.reduce(m, (2, 3), "mean"), batched)
+    return T.reduce(feature_map, (2, 3), "mean")
 
 
 class AttentionContext:
@@ -61,7 +43,8 @@ class AttentionContext:
 
     Scores come from a one-hidden-layer MLP on each C-dim local feature
     vector; a softmax over the whole grid turns them into pooling weights
-    shared by all channels.
+    shared by all channels. ``backbone.AttentiveStatsPool`` reuses it on
+    (N, D, 1, T) frames.
     """
 
     def __init__(self, channels: int, hidden: int | None = None, rng: np.random.Generator | None = None):
@@ -81,21 +64,20 @@ class AttentionContext:
 
     def weights(self, m: Tensor) -> Tensor:
         """(N, F, T) pooling weights; positive, summing to one per sample."""
+        if m.shape[1] != self.channels:
+            raise ShapeError(f"attention context built for C={self.channels}, got map with C={m.shape[1]}")
         h = T.add(T.einsum2("hc,ncft->nhft", self.proj, m),
                   T.reshape(self.proj_bias, (1, self.hidden, 1, 1)))
         scores = T.add(T.einsum2("h,nhft->nft", self.score_vec, T.tanh(h)), self.score_bias)
         return T.softmax_over(scores, (1, 2))
 
+    @staticmethod
+    def weighted_mean(weights: Tensor, m: Tensor) -> Tensor:
+        """(N, C) mean of each channel of m under (N, F, T) weights."""
+        return T.einsum2("nft,ncft->nc", weights, m)
+
     def __call__(self, feature_map: Tensor) -> Tensor:
-        m, batched = _batched(feature_map)
-        if m.shape[1] != self.channels:
-            raise ShapeError(f"attention context built for C={self.channels}, got map with C={m.shape[1]}")
-        pooled = T.einsum2("nft,ncft->nc", self.weights(m), m)
-        return _unbatch_vec(pooled, batched)
-
-
-def att_gcm_context(feature_map: Tensor, params: AttentionContext) -> Tensor:
-    return params(feature_map)
+        return self.weighted_mean(self.weights(feature_map), feature_map)
 
 
 class MultiDctContext:
@@ -113,14 +95,9 @@ class MultiDctContext:
         return []
 
     def __call__(self, feature_map: Tensor) -> Tensor:
-        m, batched = _batched(feature_map)
-        m = T.adaptive_avg_pool2d(m, (self.basis_set.big_f, self.basis_set.big_t))
+        m = T.adaptive_avg_pool2d(feature_map, (self.basis_set.big_f, self.basis_set.big_t))
         responses = T.einsum2("ncft,kft->nck", m, self._stack)
-        return _unbatch_vec(T.reduce(responses, (2,), "max"), batched)
-
-
-def multi_dct_context(feature_map: Tensor, basis_set: DctBasisSet) -> Tensor:
-    return MultiDctContext(basis_set)(feature_map)
+        return T.reduce(responses, (2,), "max")
 
 
 # -- channel transforms ---------------------------------------------------------
@@ -154,7 +131,6 @@ class FcChannelTransform:
         width = channels // reduction
         if width < 1:
             raise ShapeError(f"reduction {reduction} leaves no bottleneck width for C={channels}")
-        self.channels = channels
         self.reduction = reduction
         self.width = width
         self.w_in = Tensor(rng.normal(0.0, math.sqrt(2.0 / channels) / input_scale,
@@ -181,7 +157,6 @@ class Conv1dChannelTransform:
         k = kernel_size if kernel_size is not None else eca_kernel_size(channels, gamma, b)
         if k % 2 == 0:
             raise ShapeError(f"conv1d channel transform needs an odd kernel, got {k}")
-        self.channels = channels
         self.kernel_size = k
         self.kernel = Tensor(rng.normal(0.0, 1.0 / (math.sqrt(k) * input_scale), (k,)),
                              requires_grad=True)
@@ -193,23 +168,11 @@ class Conv1dChannelTransform:
         return T.conv1d_same(context, self.kernel)
 
 
-def channel_excite(context: Tensor, transform) -> Tensor:
-    """Sigmoid gate over the transformed context vector."""
-    vec = context if context.ndim == 2 else T.reshape(context, (1,) + context.shape)
-    if vec.shape[1] != transform.channels:
-        raise ShapeError(f"transform built for C={transform.channels}, got context with C={vec.shape[1]}")
-    gate = T.sigmoid(transform.logits(vec))
-    return gate if context.ndim == 2 else T.reshape(gate, context.shape)
-
-
 def channel_scale(feature_map: Tensor, gates: Tensor) -> Tensor:
-    """Multiply channel c of the map by gates[c]."""
-    m, batched = _batched(feature_map)
-    g = gates if gates.ndim == 2 else T.reshape(gates, (1,) + gates.shape)
-    if g.shape[1] != m.shape[1]:
-        raise ShapeError(f"gate length {g.shape[1]} does not match {m.shape[1]} channels")
-    out = T.mul(m, T.reshape(g, g.shape + (1, 1)))
-    return _unbatch_map(out, batched)
+    """Multiply channel c of map n by gates[n, c]."""
+    if gates.shape != feature_map.shape[:2]:
+        raise ShapeError(f"gates {gates.shape} do not match the map's (N, C) {feature_map.shape[:2]}")
+    return T.mul(feature_map, T.reshape(gates, gates.shape + (1, 1)))
 
 
 # -- time-frequency enhancement --------------------------------------------------
@@ -265,17 +228,15 @@ def tfe_enhance(feature_map: Tensor, context: Tensor, params: TfeParams) -> Tens
     bare division), then affinely mapped and squashed into a sigmoid gate
     on the group's features.
     """
-    m, batched = _batched(feature_map)
-    ctx = context if context.ndim == 2 else T.reshape(context, (1,) + context.shape)
-    n, c, f, t = m.shape
+    n, c, f, t = feature_map.shape
     if c != params.channels:
         raise ShapeError(f"enhancement built for C={params.channels}, got map with C={c}")
-    if ctx.shape != (n, c):
-        raise ShapeError(f"context shape {ctx.shape} does not match map {(n, c)}")
+    if context.shape != (n, c):
+        raise ShapeError(f"context shape {context.shape} does not match map {(n, c)}")
     g, d = params.n_groups, params.group_dim
 
-    grouped = T.reshape(m, (n, g, d, f, t))
-    ctx_g = T.reshape(ctx, (n, g, d))
+    grouped = T.reshape(feature_map, (n, g, d, f, t))
+    ctx_g = T.reshape(context, (n, g, d))
     norm = T.sqrt(T.add(T.reduce(T.mul(ctx_g, ctx_g), (2,), "sum", keepdims=True), _NORM_GUARD_SQ))
     unit_ctx = T.div(ctx_g, norm)
 
@@ -292,7 +253,7 @@ def tfe_enhance(feature_map: Tensor, context: Tensor, params: TfeParams) -> Tens
     s = T.add(T.mul(standardized, T.reshape(params.scale, (1, g, 1, 1))),
               T.reshape(params.shift, (1, g, 1, 1)))
     gated = T.mul(grouped, T.reshape(T.sigmoid(s), (n, g, 1, f, t)))
-    return _unbatch_map(T.reshape(gated, (n, c, f, t)), batched)
+    return T.reshape(gated, (n, c, f, t))
 
 
 # -- composed block ----------------------------------------------------------------
@@ -350,23 +311,15 @@ class GcmBlock:
             params.extend(self.tfe.named_parameters(f"{prefix}.tfe"))
         return params
 
-    def context_vector(self, m: Tensor) -> Tensor:
-        if self.kind == "gap":
-            return se_squeeze(m)
-        return self.context(m)
-
     def __call__(self, feature_map: Tensor) -> Tensor:
-        m, batched = _batched(feature_map)
-        ctx = self.context_vector(m)
+        if feature_map.ndim != 4:
+            raise ShapeError(f"feature map must be (N, C, F, T), got {feature_map.shape}")
+        ctx = se_squeeze(feature_map) if self.context is None else self.context(feature_map)
         logits = self.transform.logits(ctx)
-        scaled = channel_scale(m, T.sigmoid(logits))
+        scaled = channel_scale(feature_map, T.sigmoid(logits))
         if self.tfe is not None:
             scaled = tfe_enhance(scaled, logits, self.tfe)
-        return _unbatch_map(scaled, batched)
-
-
-def gcm_block_forward(feature_map: Tensor, block: GcmBlock) -> Tensor:
-    return block(feature_map)
+        return scaled
 
 
 # -- parameter accounting ------------------------------------------------------------

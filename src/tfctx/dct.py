@@ -1,4 +1,4 @@
-"""2D discrete cosine basis grids and DCT-weighted pooling.
+"""2D discrete cosine basis grids for the multi-DCT context pooling.
 
 Basis grids use the unnormalized DCT-II form
 ``cos(pi*i*(f+1/2)/F) * cos(pi*j*(t+1/2)/T)``; no orthonormalization
@@ -6,28 +6,17 @@ constants are applied, so the (0, 0) grid is all ones and pooling with it
 degenerates to a plain sum (F*T times the channel mean). Any missing scale
 is absorbed by the learnable channel transform downstream.
 
-Map sizes here are tiny (default grid 8x25), so pooling is a direct
-contraction rather than a fast transform.
+Map sizes here are tiny (default grid 8x25), so pooling
+(``blocks.MultiDctContext``) is a direct contraction with the stacked grids
+rather than a fast transform.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .errors import ShapeError
-
-
-def basis_weight(i: int, j: int, f: int, t: int, big_f: int, big_t: int) -> float:
-    """Single grid entry of basis (i, j) at location (f, t) on an FxT map."""
-    if not (0 <= i < big_f and 0 <= f < big_f):
-        raise IndexError(f"frequency index out of range: i={i}, f={f}, F={big_f}")
-    if not (0 <= j < big_t and 0 <= t < big_t):
-        raise IndexError(f"time index out of range: j={j}, t={t}, T={big_t}")
-    return math.cos(math.pi * i * (f + 0.5) / big_f) * math.cos(math.pi * j * (t + 0.5) / big_t)
 
 
 @dataclass(frozen=True)
@@ -88,15 +77,6 @@ def build_basis_set(big_f: int, big_t: int, k: int) -> DctBasisSet:
         comps = tuple(DctBasis.build(i, j, big_f, big_t) for i, j in component_order(big_f, big_t)[:k])
         _BASIS_CACHE[key] = DctBasisSet(comps, big_f, big_t)
     return _BASIS_CACHE[key]
-
-
-def dct2_pool(channel_map: np.ndarray, basis: DctBasis) -> float:
-    """Project one FxT channel map onto a basis grid (plain dot product)."""
-    channel_map = np.asarray(channel_map)
-    if channel_map.shape != (basis.big_f, basis.big_t):
-        raise ShapeError(
-            f"map extents {channel_map.shape} do not match basis grid ({basis.big_f}, {basis.big_t})")
-    return float(np.sum(basis.weights * channel_map))
 
 
 def export_basis_csv(big_f: int, big_t: int, k: int, out_dir: str) -> list[str]:

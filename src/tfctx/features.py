@@ -104,12 +104,6 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filter_centers(cfg: FbankConfig) -> np.ndarray:
-    """Center frequency (Hz) of each triangular filter."""
-    mels = np.linspace(hz_to_mel(cfg.f_min), hz_to_mel(cfg.f_max), cfg.n_mels + 2)
-    return mel_to_hz(mels)[1:-1]
-
-
 def mel_filterbank(cfg: FbankConfig) -> np.ndarray:
     """(n_mels, fft_size//2 + 1) triangular weights, linear in Hz between
     mel-spaced corner frequencies."""

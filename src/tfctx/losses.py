@@ -57,14 +57,11 @@ def _check_batch(batch: Tensor) -> tuple[int, int, int]:
     return n, m, d
 
 
-def speaker_prototype(batch: Tensor, speaker: int) -> Tensor:
-    """Mean of the first M-1 utterances of one speaker."""
-    n, m, _ = _check_batch(batch)
-    if not 0 <= speaker < n:
-        raise IndexError(f"speaker {speaker} out of range [0, {n})")
-    row = T.narrow(batch, 0, speaker, 1)
-    support = T.narrow(row, 1, 0, m - 1)
-    return T.reshape(T.reduce(support, (1,), "mean"), (batch.shape[2],))
+def prototypes(batch: Tensor) -> Tensor:
+    """(N, D) speaker prototypes: the mean of each speaker's first M-1
+    utterances."""
+    _, m, _ = _check_batch(batch)
+    return T.reduce(T.narrow(batch, 1, 0, m - 1), (1,), "mean")
 
 
 def _unit_rows(x: Tensor, what: str) -> Tensor:
@@ -74,22 +71,28 @@ def _unit_rows(x: Tensor, what: str) -> Tensor:
     return T.div(x, T.sqrt(sq))
 
 
-def _log_sum_exp_rows(logits: Tensor) -> Tensor:
+def _mean_row_ce(logits: Tensor, targets) -> Tensor:
+    """Mean over rows of -log softmax(row)[target], via a max-shifted
+    log-sum-exp and a one-hot mask."""
+    b, k = logits.shape
     peak = T.reduce(logits, (1,), "max", keepdims=True)
-    return T.add(peak, T.log(T.reduce(T.exp(T.add(logits, T.mul(peak, -1.0))), (1,), "sum", keepdims=True)))
+    sum_exp = T.reduce(T.exp(T.add(logits, T.mul(peak, -1.0))), (1,), "sum", keepdims=True)
+    lse = T.reshape(T.add(peak, T.log(sum_exp)), (b,))
+    onehot = np.zeros((b, k))
+    onehot[np.arange(b), targets] = 1.0
+    own = T.reduce(T.mul(logits, Tensor(onehot)), (1,), "sum")
+    return T.reduce(T.add(lse, T.mul(own, -1.0)), (0,), "mean")
 
 
 def angular_proto_loss(batch: Tensor, params: ProtoParams) -> Tensor:
     """Softmax over scaled cosines between each query and all prototypes."""
     n, m, d = _check_batch(batch)
     queries = T.reshape(T.narrow(batch, 1, m - 1, 1), (n, d))
-    prototypes = T.reduce(T.narrow(batch, 1, 0, m - 1), (1,), "mean")
+    protos = prototypes(batch)
     cosines = T.matmul(_unit_rows(queries, "query"),
-                       T.moveaxis(_unit_rows(prototypes, "prototype"), 0, 1))
+                       T.moveaxis(_unit_rows(protos, "prototype"), 0, 1))
     logits = T.add(T.mul(cosines, params.scale), params.bias)
-    lse = T.reshape(_log_sum_exp_rows(logits), (n,))
-    own = T.reduce(T.mul(logits, Tensor(np.eye(n))), (1,), "sum")
-    return T.reduce(T.add(lse, T.mul(own, -1.0)), (0,), "mean")
+    return _mean_row_ce(logits, np.arange(n))
 
 
 def softmax_ce_loss(embeddings: Tensor, labels, head: ClassifierHead) -> Tensor:
@@ -104,11 +107,7 @@ def softmax_ce_loss(embeddings: Tensor, labels, head: ClassifierHead) -> Tensor:
         raise ValueError(f"label out of range [0, {head.num_speakers})")
     logits = T.add(T.matmul(embeddings, T.moveaxis(head.weight, 0, 1)),
                    T.reshape(head.bias, (1, head.num_speakers)))
-    lse = T.reshape(_log_sum_exp_rows(logits), (b,))
-    onehot = np.zeros((b, head.num_speakers))
-    onehot[np.arange(b), labels] = 1.0
-    own = T.reduce(T.mul(logits, Tensor(onehot)), (1,), "sum")
-    return T.reduce(T.add(lse, T.mul(own, -1.0)), (0,), "mean")
+    return _mean_row_ce(logits, labels)
 
 
 def combined_loss(batch: Tensor, labels, head: ClassifierHead,

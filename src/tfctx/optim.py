@@ -9,42 +9,14 @@ from .errors import NumericalError
 from .tensor import Tensor
 
 
-class AdamWState:
-    """First/second moment buffers plus the shared step counter."""
-
-    def __init__(self, shapes):
-        self.m = [np.zeros(s) for s in shapes]
-        self.v = [np.zeros(s) for s in shapes]
-        self.step = 0
-
-
-def adamw_step(params, grads, state: AdamWState, lr: float,
-               beta1: float = 0.9, beta2: float = 0.999,
-               eps: float = 1e-8, weight_decay: float = 5e-5) -> None:
-    """One update, in place on the parameter arrays.
+class AdamW:
+    """Optimizer over named tensors; reads .grad, updates .data in place.
 
     Decay is decoupled: each parameter first shrinks by lr*weight_decay,
-    then receives the bias-corrected Adam step. A non-finite gradient
-    aborts before any parameter is touched.
+    then receives the bias-corrected Adam step. A missing gradient counts
+    as zero. A non-finite gradient aborts before any parameter, moment or
+    the step count is touched.
     """
-    for i, g in enumerate(grads):
-        if not np.all(np.isfinite(g)):
-            raise NumericalError(f"non-finite gradient in parameter {i}; aborting step")
-    state.step += 1
-    t = state.step
-    bc1 = 1.0 - beta1 ** t
-    bc2 = 1.0 - beta2 ** t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        p *= 1.0 - lr * weight_decay
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
-
-
-class AdamW:
-    """Optimizer over named tensors; reads .grad, updates .data in place."""
 
     def __init__(self, named_params, lr: float = 1e-3, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8, weight_decay: float = 5e-5):
@@ -54,23 +26,32 @@ class AdamW:
         self.beta2 = beta2
         self.eps = eps
         self.weight_decay = weight_decay
-        self.state = AdamWState([p.data.shape for _, p in self.named_params])
+        self.m = [np.zeros(p.data.shape) for _, p in self.named_params]
+        self.v = [np.zeros(p.data.shape) for _, p in self.named_params]
+        self.step_count = 0
 
     def zero_grad(self) -> None:
         for _, p in self.named_params:
             p.grad = None
 
     def step(self) -> None:
-        grads = []
         for name, p in self.named_params:
-            if p.grad is None:
-                grads.append(np.zeros_like(p.data))
-            elif not np.all(np.isfinite(p.grad)):
+            if p.grad is not None and not np.all(np.isfinite(p.grad)):
                 raise NumericalError(f"non-finite gradient in {name}; aborting step")
-            else:
-                grads.append(p.grad)
-        adamw_step([p.data for _, p in self.named_params], grads, self.state,
-                   self.lr, self.beta1, self.beta2, self.eps, self.weight_decay)
+        self.step_count += 1
+        t = self.step_count
+        lr, beta1, beta2, eps, weight_decay = self.lr, self.beta1, self.beta2, self.eps, self.weight_decay
+        bc1 = 1.0 - beta1 ** t
+        bc2 = 1.0 - beta2 ** t
+        for (_, param), m, v in zip(self.named_params, self.m, self.v):
+            p = param.data
+            g = np.zeros_like(p) if param.grad is None else param.grad
+            p *= 1.0 - lr * weight_decay
+            m *= beta1
+            m += (1.0 - beta1) * g
+            v *= beta2
+            v += (1.0 - beta2) * (g * g)
+            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
 
 
 def lr_schedule(epoch: int, base_lr: float = 1e-3, warmup_epochs: int = 5,

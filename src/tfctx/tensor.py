@@ -116,9 +116,6 @@ class Tensor:
             raise ShapeError(f"expected a scalar tensor, got shape {self.shape}")
         return float(self.data.reshape(-1)[0])
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -338,17 +335,6 @@ def sigmoid(x: Tensor) -> Tensor:
         x._accumulate(g * y * (1.0 - y))
 
     return Tensor._from_op(y, (x,), vjp)
-
-
-_ACTIVATIONS = {"relu": relu, "tanh": tanh, "sigmoid": sigmoid}
-
-
-def activation(x: Tensor, kind: str) -> Tensor:
-    """Elementwise nonlinearity; kind is one of relu|tanh|sigmoid."""
-    try:
-        return _ACTIVATIONS[kind](x)
-    except KeyError:
-        raise ValueError(f"unknown activation kind {kind!r}") from None
 
 
 # -- reductions and softmax ---------------------------------------------------

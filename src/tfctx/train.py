@@ -210,13 +210,9 @@ def load_embedder(checkpoint_path: str) -> tuple[backbone.Embedder, RunConfig]:
     doc, arrays = backbone.load_checkpoint(checkpoint_path)
     cfg = from_dict(doc)
     embedder = build_embedder(cfg, np.random.default_rng(cfg.seed))
-    model_arrays = {n: arrays[n] for n, _ in embedder.named_parameters() if n in arrays}
-    state_names = {n for n, _ in embedder.named_state()}
-    missing = ({n for n, _ in embedder.named_parameters()} | state_names) - set(arrays)
-    if missing:
-        raise DataError(f"checkpoint is missing entries: {sorted(missing)[:4]}")
-    model_arrays.update({n: arrays[n] for n in state_names})
-    embedder.load_arrays(model_arrays)
+    # the checkpoint also holds the training heads; load_arrays checks the rest
+    names = {n for n, _ in embedder.named_parameters() + embedder.named_state()}
+    embedder.load_arrays({n: a for n, a in arrays.items() if n in names})
     return embedder, cfg
 
 

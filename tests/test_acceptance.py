@@ -29,16 +29,16 @@ class TestCriterion1SpecialCases:
         worst_dct = 0.0
         for _ in range(20):
             c, f, t = (int(x) for x in rng.integers(2, 9, size=3))
-            m = Tensor(rng.normal(size=(c, f, t)) * rng.uniform(0.5, 4.0))
+            m = Tensor(rng.normal(size=(1, c, f, t)) * rng.uniform(0.5, 4.0))
             mean = blocks.se_squeeze(m).data
 
             att = blocks.AttentionContext(c, hidden=max(1, c // 2), rng=rng)
             att.proj.data[:] = 0.0
             att.proj_bias.data[:] = 0.0
-            worst_att = max(worst_att, np.abs(blocks.att_gcm_context(m, att).data - mean).max())
+            worst_att = max(worst_att, np.abs(att(m).data - mean).max())
 
             basis = dct.build_basis_set(f, t, 1)
-            got = blocks.multi_dct_context(m, basis).data
+            got = blocks.MultiDctContext(basis)(m).data
             worst_dct = max(worst_dct, np.abs(got - f * t * mean).max())
         elapsed = time.time() - t0
         _report("criterion 1: attention/DCT special-case identities",

@@ -70,25 +70,25 @@ class TestResidualBlock:
 class TestAspPool:
     def test_constant_frames(self):
         pool = backbone.AttentiveStatsPool(3, 2, np.random.default_rng(10))
-        frames = Tensor(np.full((3, 7), 1.5))
-        out = backbone.asp_pool(frames, pool)
-        np.testing.assert_allclose(out.data[:3], 1.5, atol=1e-12)
-        np.testing.assert_allclose(out.data[3:], 0.0, atol=2e-4)  # sqrt of the variance floor
+        frames = Tensor(np.full((1, 3, 7), 1.5))
+        out = pool(frames).data[0]
+        np.testing.assert_allclose(out[:3], 1.5, atol=1e-12)
+        np.testing.assert_allclose(out[3:], 0.0, atol=2e-4)  # sqrt of the variance floor
 
     def test_zero_logits_is_uniform_stats(self):
         pool = backbone.AttentiveStatsPool(3, 2, np.random.default_rng(11))
         pool.proj.data[:] = 0.0
         pool.proj_bias.data[:] = 0.0
         x = np.random.default_rng(12).normal(size=(3, 9))
-        out = backbone.asp_pool(Tensor(x), pool)
+        out = pool(Tensor(x[None])).data[0]
         mu = x.mean(axis=1)
         sigma = np.sqrt(np.maximum((x * x).mean(axis=1) - mu ** 2, pool.VAR_FLOOR))
-        np.testing.assert_allclose(out.data, np.concatenate([mu, sigma]), atol=1e-12)
+        np.testing.assert_allclose(out, np.concatenate([mu, sigma]), atol=1e-12)
 
     def test_matches_weighted_moment_oracle(self):
         pool = backbone.AttentiveStatsPool(4, 3, np.random.default_rng(13))
         x = np.random.default_rng(14).normal(size=(4, 6))
-        out = backbone.asp_pool(Tensor(x), pool)
+        out = pool(Tensor(x[None])).data[0]
 
         scores = np.array([
             pool.score_vec.data @ np.tanh(pool.proj.data @ x[:, t] + pool.proj_bias.data)
@@ -100,7 +100,7 @@ class TestAspPool:
         mu = x @ w
         var = (x * x) @ w - mu ** 2
         sigma = np.sqrt(np.maximum(var, pool.VAR_FLOOR))
-        np.testing.assert_allclose(out.data, np.concatenate([mu, sigma]), atol=1e-10)
+        np.testing.assert_allclose(out, np.concatenate([mu, sigma]), atol=1e-10)
 
     def test_gradients(self):
         pool = backbone.AttentiveStatsPool(3, 2, np.random.default_rng(15))
@@ -120,17 +120,17 @@ class TestEmbedder:
 
     def test_embed_utterance_contract(self):
         emb = toy_embedder(seed=1)
-        feats = Tensor(np.random.default_rng(19).normal(size=(1, 16, 24)))
-        vec = backbone.embed_utterance(feats, emb)
-        assert vec.shape == (8,)
+        feats = Tensor(np.random.default_rng(19).normal(size=(1, 1, 16, 24)))
+        vec = emb.embed(feats)
+        assert vec.shape == (1, 8)
         assert np.linalg.norm(vec.data) == pytest.approx(1.0, abs=1e-6)
 
     def test_deterministic_bit_for_bit(self):
-        feats = np.random.default_rng(20).normal(size=(1, 16, 24))
+        feats = np.random.default_rng(20).normal(size=(1, 1, 16, 24))
         outs = []
         for _ in range(2):
             emb = toy_embedder(seed=7)
-            outs.append(backbone.embed_utterance(Tensor(feats.copy()), emb).data.tobytes())
+            outs.append(emb.embed(Tensor(feats.copy())).data.tobytes())
         assert outs[0] == outs[1]
 
     def test_wrong_mel_bins_rejected(self):

@@ -8,6 +8,8 @@ from tfctx import tensor as T
 from tfctx.errors import ShapeError
 from tfctx.tensor import Tensor
 
+from oracles import dct2_pool
+
 
 def rng_map(shape, seed=0):
     return np.random.default_rng(seed).normal(size=shape)
@@ -15,12 +17,12 @@ def rng_map(shape, seed=0):
 
 class TestSeSqueeze:
     def test_constant_channel(self):
-        m = Tensor(np.full((3, 4, 5), 2.25))
+        m = Tensor(np.full((1, 3, 4, 5), 2.25))
         np.testing.assert_allclose(blocks.se_squeeze(m).data, 2.25)
 
     def test_hand_case(self):
-        m = Tensor(np.array([[[1.0, 2.0], [3.0, 4.0]]]))
-        assert blocks.se_squeeze(m).data[0] == pytest.approx(2.5)
+        m = Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]))
+        assert blocks.se_squeeze(m).data[0, 0] == pytest.approx(2.5)
 
     def test_matches_loop_oracle(self):
         x = rng_map((2, 3, 4, 6), seed=1)
@@ -59,8 +61,7 @@ class TestAttentionContext:
         ctx.proj.data[:] = 0.0
         ctx.proj_bias.data[:] = 0.0
         m = Tensor(rng_map((2, 3, 4, 5), seed=2))
-        np.testing.assert_allclose(blocks.att_gcm_context(m, ctx).data,
-                                   blocks.se_squeeze(m).data, atol=1e-10)
+        np.testing.assert_allclose(ctx(m).data, blocks.se_squeeze(m).data, atol=1e-10)
 
     def test_weights_sum_to_one(self):
         ctx = blocks.AttentionContext(4, rng=np.random.default_rng(6))
@@ -70,7 +71,7 @@ class TestAttentionContext:
     def test_matches_loop_oracle(self):
         ctx = blocks.AttentionContext(4, hidden=3, rng=np.random.default_rng(7))
         x = rng_map((1, 4, 3, 5), seed=4)
-        got = blocks.att_gcm_context(Tensor(x), ctx).data
+        got = ctx(Tensor(x)).data
         want = attention_oracle(x, ctx.proj.data, ctx.proj_bias.data,
                                 ctx.score_vec.data, ctx.score_bias.data[0])
         np.testing.assert_allclose(got, want, atol=1e-10)
@@ -101,20 +102,20 @@ class TestChannelExcite:
         tr = blocks.FcChannelTransform(6, reduction=2, rng=np.random.default_rng(8))
         tr.w_in.data[:] = 0.0
         tr.w_out.data[:] = 0.0
-        out = blocks.channel_excite(Tensor(rng_map((6,), seed=5)), tr)
+        out = T.sigmoid(tr.logits(Tensor(rng_map((1, 6), seed=5))))
         np.testing.assert_allclose(out.data, 0.5)
 
     def test_conv1d_impulse_is_plain_sigmoid(self):
         tr = blocks.Conv1dChannelTransform(8, kernel_size=3, rng=np.random.default_rng(9))
         tr.kernel.data[:] = [0.0, 1.0, 0.0]
-        g = rng_map((8,), seed=6)
-        out = blocks.channel_excite(Tensor(g), tr)
+        g = rng_map((1, 8), seed=6)
+        out = T.sigmoid(tr.logits(Tensor(g)))
         np.testing.assert_allclose(out.data, 1 / (1 + np.exp(-g)), atol=1e-12)
 
     def test_fc_matches_matrix_loop_oracle(self):
         tr = blocks.FcChannelTransform(32, reduction=16, rng=np.random.default_rng(10))
         g = rng_map((32,), seed=7)
-        got = blocks.channel_excite(Tensor(g), tr).data
+        got = T.sigmoid(tr.logits(Tensor(g[None]))).data[0]
         hidden = np.maximum(tr.w_in.data @ g, 0.0)
         want = 1 / (1 + np.exp(-(tr.w_out.data @ hidden)))
         np.testing.assert_allclose(got, want, atol=1e-12)
@@ -126,12 +127,12 @@ class TestChannelExcite:
 
 class TestChannelScale:
     def test_ones_identity(self):
-        x = rng_map((2, 3, 4), seed=8)
-        out = blocks.channel_scale(Tensor(x), Tensor(np.ones(2)))
+        x = rng_map((1, 2, 3, 4), seed=8)
+        out = blocks.channel_scale(Tensor(x), Tensor(np.ones((1, 2))))
         np.testing.assert_allclose(out.data, x)
 
     def test_zeros(self):
-        out = blocks.channel_scale(Tensor(rng_map((2, 3, 4), seed=9)), Tensor(np.zeros(2)))
+        out = blocks.channel_scale(Tensor(rng_map((1, 2, 3, 4), seed=9)), Tensor(np.zeros((1, 2))))
         np.testing.assert_allclose(out.data, 0.0)
 
     def test_elementwise_oracle(self):
@@ -142,32 +143,32 @@ class TestChannelScale:
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
-            blocks.channel_scale(Tensor(np.zeros((2, 3, 4))), Tensor(np.ones(3)))
+            blocks.channel_scale(Tensor(np.zeros((1, 2, 3, 4))), Tensor(np.ones((1, 3))))
 
 
 class TestMultiDctContext:
     def test_k1_is_scaled_mean(self):
-        m = Tensor(rng_map((3, 4, 6), seed=12))
-        ctx = blocks.multi_dct_context(m, dct.build_basis_set(4, 6, 1))
+        m = Tensor(rng_map((1, 3, 4, 6), seed=12))
+        ctx = blocks.MultiDctContext(dct.build_basis_set(4, 6, 1))(m)
         np.testing.assert_allclose(ctx.data, 4 * 6 * blocks.se_squeeze(m).data, atol=1e-10)
 
     def test_matches_brute_force(self):
-        x = rng_map((3, 4, 6), seed=13)
+        x = rng_map((1, 3, 4, 6), seed=13)
         basis_set = dct.build_basis_set(4, 6, 4)
-        got = blocks.multi_dct_context(Tensor(x), basis_set).data
-        want = np.array([
-            max(dct.dct2_pool(x[c], b) for b in basis_set.components)
+        got = blocks.MultiDctContext(basis_set)(Tensor(x)).data
+        want = np.array([[
+            max(dct2_pool(x[0, c], b) for b in basis_set.components)
             for c in range(3)
-        ])
+        ]])
         np.testing.assert_allclose(got, want, atol=1e-10)
 
     def test_rescales_mismatched_extents(self):
         x = rng_map((1, 2, 8, 12), seed=14)
         basis_set = dct.build_basis_set(4, 6, 3)
-        got = blocks.multi_dct_context(Tensor(x), basis_set).data
+        got = blocks.MultiDctContext(basis_set)(Tensor(x)).data
         pooled = T.adaptive_avg_pool2d(Tensor(x), (4, 6)).data
         want = np.array([[
-            max(dct.dct2_pool(pooled[0, c], b) for b in basis_set.components)
+            max(dct2_pool(pooled[0, c], b) for b in basis_set.components)
             for c in range(2)
         ]])
         np.testing.assert_allclose(got, want, atol=1e-10)
@@ -250,8 +251,8 @@ class TestGcmBlock:
                                 rng=np.random.default_rng(18))
         block.transform.w_in.data[:] = 0.0
         block.transform.w_out.data[:] = 0.0
-        x = rng_map((4, 3, 5), seed=21)
-        out = blocks.gcm_block_forward(Tensor(x), block)
+        x = rng_map((1, 4, 3, 5), seed=21)
+        out = block(Tensor(x))
         np.testing.assert_allclose(out.data, 0.5 * x, atol=1e-12)
 
     def test_attention_equals_gap_when_mlp_zeroed(self):
@@ -263,8 +264,7 @@ class TestGcmBlock:
         gap.transform.w_in.data[:] = att.transform.w_in.data
         gap.transform.w_out.data[:] = att.transform.w_out.data
         x = Tensor(rng_map((2, 4, 5, 6), seed=22))
-        np.testing.assert_allclose(blocks.gcm_block_forward(x, att).data,
-                                   blocks.gcm_block_forward(x, gap).data, atol=1e-10)
+        np.testing.assert_allclose(att(x).data, gap(x).data, atol=1e-10)
 
     def test_tfe_tap_is_pre_sigmoid_context(self):
         """Golden composition: the enhancement consumes the transformed
@@ -273,7 +273,7 @@ class TestGcmBlock:
                                 tfe=True, tfe_groups=4, tfe_scale_init=0.9,
                                 rng=np.random.default_rng(20))
         x = Tensor(rng_map((1, 8, 4, 5), seed=23))
-        got = blocks.gcm_block_forward(x, block)
+        got = block(x)
 
         ctx = blocks.se_squeeze(x)
         logits = block.transform.logits(ctx)
@@ -287,9 +287,15 @@ class TestGcmBlock:
         block = blocks.GcmBlock(8, kind=kind, transform="fc", reduction=4,
                                 dct_grid=(3, 4), dct_components=2, tfe=tfe,
                                 tfe_groups=4, rng=np.random.default_rng(21))
-        for shape in [(8, 3, 4), (2, 8, 5, 9), (1, 8, 2, 2)]:
-            out = blocks.gcm_block_forward(Tensor(rng_map(shape, seed=24)), block)
+        for shape in [(1, 8, 3, 4), (2, 8, 5, 9), (1, 8, 2, 2)]:
+            out = block(Tensor(rng_map(shape, seed=24)))
             assert out.shape == shape
+
+    def test_rank3_map_rejected(self):
+        block = blocks.GcmBlock(8, kind="gap", transform="fc", reduction=4,
+                                rng=np.random.default_rng(21))
+        with pytest.raises(ShapeError):
+            block(Tensor(rng_map((8, 3, 4), seed=24)))
 
     @given(st.integers(2, 4), st.integers(2, 5), st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
@@ -300,7 +306,7 @@ class TestGcmBlock:
                                 tfe_scale_init=rng.normal(), tfe_shift_init=rng.normal(),
                                 rng=rng)
         x = rng.normal(size=(2, 4, f, t))
-        out = blocks.gcm_block_forward(Tensor(x), block)
+        out = block(Tensor(x))
         assert (np.abs(out.data) <= np.abs(x) + 1e-15).all()
 
 
@@ -346,7 +352,7 @@ class TestBlockGradients:
         target = Tensor(rng_map((1, 8, 3, 4), seed=26))
 
         def fn(t):
-            return T.mul(blocks.gcm_block_forward(t, block), target).sum()
+            return T.mul(block(t), target).sum()
 
         assert T.finite_diff_check(fn, Tensor(x)) < 1e-4
 
@@ -358,7 +364,7 @@ class TestBlockGradients:
         target = Tensor(rng_map((1, 8, 3, 4), seed=28))
 
         def loss():
-            return T.mul(blocks.gcm_block_forward(x, block), target).sum()
+            return T.mul(block(x), target).sum()
 
         errors = T.finite_diff_check_params(loss, block.named_parameters())
         for name, err in errors.items():

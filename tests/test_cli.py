@@ -4,9 +4,11 @@ import os
 import numpy as np
 import pytest
 
-from tfctx import cli, config, dct, metrics
+from tfctx import backbone, cli, config, dct, metrics, train
 from tfctx import tensor as T
-from tfctx.errors import ConfigError
+from tfctx.errors import ConfigError, DataError
+
+from oracles import basis_weight
 
 
 def micro_config(tmp_path, **train_overrides):
@@ -163,6 +165,22 @@ class TestTrainEval:
         assert code == 2
         assert "uttXXXX" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dropped", ["stage0.block0.conv1.weight",
+                                         "stage0.block0.bn1.running_var"])
+    def test_checkpoint_missing_entry_is_data_error(self, trained, tmp_path, capsys, dropped):
+        path, doc = trained
+        ckpt_doc, arrays = backbone.load_checkpoint(os.path.join(doc["out_dir"], "checkpoint.ckpt"))
+        assert dropped in arrays
+        broken = str(tmp_path / "broken.ckpt")
+        backbone.save_checkpoint(broken, [(n, a) for n, a in arrays.items() if n != dropped], ckpt_doc)
+        with pytest.raises(DataError, match=dropped):
+            train.load_embedder(broken)
+        trials = os.path.join(doc["data"]["data_dir"], "trials.txt")
+        code = cli.main(["eval", "--config", path, "--checkpoint", broken,
+                         "--trials", trials, "--out", str(tmp_path / "broken_eval")])
+        assert code == cli.EXIT_DATA
+        assert dropped in capsys.readouterr().err
+
     def test_score_command_matches_eval(self, trained, tmp_path, capsys):
         path, doc = trained
         ckpt = os.path.join(doc["out_dir"], "checkpoint.ckpt")
@@ -314,7 +332,7 @@ class TestExportDct:
                               delimiter=",")
             for f in range(3):
                 for t in range(4):
-                    assert grid[f, t] == pytest.approx(dct.basis_weight(i, j, f, t, 3, 4), abs=1e-12)
+                    assert grid[f, t] == pytest.approx(basis_weight(i, j, f, t, 3, 4), abs=1e-12)
 
     def test_bad_component_count_is_usage_error(self, capsys):
         assert cli.main(["export-dct", "--grid-f", "2", "--grid-t", "2",

@@ -20,32 +20,28 @@ def unit_batch(n, m, d, seed=0):
 class TestSpeakerPrototype:
     def test_m2_is_first_utterance(self):
         batch = unit_batch(3, 2, 4, seed=1)
+        got = losses.prototypes(Tensor(batch))
         for j in range(3):
-            got = losses.speaker_prototype(Tensor(batch), j)
-            np.testing.assert_array_equal(got.data, batch[j, 0])
+            np.testing.assert_array_equal(got.data[j], batch[j, 0])
 
     def test_m3_hand_case(self):
         batch = np.zeros((1, 3, 2))
         batch[0, 0] = [1.0, 0.0]
         batch[0, 1] = [0.0, 1.0]
         batch[0, 2] = [0.7, 0.7]
-        got = losses.speaker_prototype(Tensor(batch), 0)
-        np.testing.assert_allclose(got.data, [0.5, 0.5])
+        got = losses.prototypes(Tensor(batch))
+        np.testing.assert_allclose(got.data[0], [0.5, 0.5])
 
     def test_matches_loop_oracle(self):
         batch = unit_batch(4, 5, 6, seed=2)
+        got = losses.prototypes(Tensor(batch)).data
         for j in range(4):
-            got = losses.speaker_prototype(Tensor(batch), j).data
             want = sum(batch[j, i] for i in range(4)) / 4
-            np.testing.assert_allclose(got, want, atol=1e-12)
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            losses.speaker_prototype(Tensor(unit_batch(2, 2, 3)), 2)
+            np.testing.assert_allclose(got[j], want, atol=1e-12)
 
     def test_m1_rejected(self):
         with pytest.raises(ShapeError):
-            losses.speaker_prototype(Tensor(np.ones((2, 1, 3))), 0)
+            losses.prototypes(Tensor(np.ones((2, 1, 3))))
 
 
 class TestAngularProtoLoss:
@@ -171,54 +167,53 @@ class TestCombinedLoss:
         np.testing.assert_allclose(g_total, g_ce + g_proto, atol=1e-12)
 
 
+def adamw_on(*values, **hyper):
+    """An AdamW over one tensor per initial value, named p0, p1, ..."""
+    params = [Tensor(np.array(v, dtype=float), requires_grad=True) for v in values]
+    return params, optim.AdamW([(f"p{i}", p) for i, p in enumerate(params)], **hyper)
+
+
 class TestAdamW:
     def test_zero_gradient_pure_decay(self):
-        p = np.array([2.0, -3.0])
-        state = optim.AdamWState([p.shape])
-        optim.adamw_step([p], [np.zeros(2)], state, lr=0.1, weight_decay=0.01)
-        np.testing.assert_allclose(p, np.array([2.0, -3.0]) * (1 - 0.1 * 0.01), atol=0)
+        (p, q), opt = adamw_on([2.0, -3.0], [2.0, -3.0], lr=0.1, weight_decay=0.01)
+        p.grad = np.zeros(2)  # q has no gradient at all, which counts as zero
+        opt.step()
+        np.testing.assert_allclose(p.data, np.array([2.0, -3.0]) * (1 - 0.1 * 0.01), atol=0)
+        np.testing.assert_array_equal(q.data, p.data)
 
     def test_descends_convex_quadratic(self):
-        x = np.array([1.0])
-        state = optim.AdamWState([x.shape])
-        optim.adamw_step([x], [2 * x.copy()], state, lr=0.05, weight_decay=0.0)
-        assert x[0] ** 2 < 1.0
+        (x,), opt = adamw_on([1.0], lr=0.05, weight_decay=0.0)
+        x.grad = 2 * x.data.copy()
+        opt.step()
+        assert x.data[0] ** 2 < 1.0
 
     def test_ten_steps_match_reference_trace(self):
         rng = np.random.default_rng(17)
-        p = rng.normal(size=(4,))
-        ref = p.copy()
-        grads = [rng.normal(size=(4,)) for _ in range(10)]
         lr, b1, b2, eps, wd = 1e-2, 0.9, 0.999, 1e-8, 5e-5
+        (p,), opt = adamw_on(rng.normal(size=(4,)), lr=lr, beta1=b1, beta2=b2, eps=eps,
+                             weight_decay=wd)
+        ref = p.data.copy()
+        grads = [rng.normal(size=(4,)) for _ in range(10)]
 
-        state = optim.AdamWState([p.shape])
         m = np.zeros(4)
         v = np.zeros(4)
         for t, g in enumerate(grads, start=1):
-            optim.adamw_step([p], [g], state, lr, b1, b2, eps, wd)
+            p.grad = g
+            opt.step()
             ref *= 1 - lr * wd
             m = b1 * m + (1 - b1) * g
             v = b2 * v + (1 - b2) * g * g
             ref -= lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
-        np.testing.assert_allclose(p, ref, atol=1e-12)
+        np.testing.assert_allclose(p.data, ref, atol=1e-12)
 
     def test_non_finite_gradient_aborts_without_touching_params(self):
-        p = np.array([1.0])
-        state = optim.AdamWState([p.shape])
-        with pytest.raises(NumericalError):
-            optim.adamw_step([p], [np.array([np.inf])], state, lr=0.1)
-        assert p[0] == 1.0 and state.step == 0
-
-    def test_optimizer_class_matches_functional(self):
-        t1 = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-        opt = optim.AdamW([("p", t1)], lr=0.01, weight_decay=0.1)
-        t1.grad = np.array([0.5, -0.5])
-        opt.step()
-
-        arr = np.array([1.0, 2.0])
-        state = optim.AdamWState([arr.shape])
-        optim.adamw_step([arr], [np.array([0.5, -0.5])], state, lr=0.01, weight_decay=0.1)
-        np.testing.assert_array_equal(t1.data, arr)
+        (p, q), opt = adamw_on([1.0], [2.0], lr=0.1)
+        p.grad = np.array([0.5])  # finite, listed before the bad one
+        q.grad = np.array([np.inf])
+        with pytest.raises(NumericalError, match="p1"):
+            opt.step()
+        assert p.data[0] == 1.0 and q.data[0] == 2.0 and opt.step_count == 0
+        assert not opt.m[0].any() and not opt.v[0].any()
 
 
 class TestLrSchedule:
