@@ -2,7 +2,8 @@
 """Insertion-position ablation: train the attention+TFE variant with the
 context block placed after the batch norm, before it, or before the first
 convolution of each residual branch, and compare EER/minDCF. Uses the toy
-configuration and the train-and-score loop of toy_sweep.py.
+preset (``config.toy_preset``) and the train-and-score loop of
+toy_sweep.py.
 
     python scripts/ablate_insertion.py --workdir runs/ablate --epochs 7
 """

@@ -15,26 +15,14 @@ import time
 
 from tfctx import config, metrics, train
 
-VARIANTS = {
-    "se": ("se", False),
-    "att_gcm": ("att_gcm", False),
-    "att_gcm_tfe": ("att_gcm", True),
-    "dct_gcm": ("dct_gcm", False),
-    "dct_gcm_tfe": ("dct_gcm", True),
-}
-
-
 def variant_config(workdir, name, epochs, seed):
-    kind, tfe = VARIANTS[name]
-    cfg = config.RunConfig()
+    """The toy preset of one variant, trained under workdir/<name> on the
+    corpus in workdir/data."""
+    cfg = config.toy_preset(name)
     cfg.seed = seed
     cfg.out_dir = os.path.join(workdir, name)
     cfg.data.data_dir = os.path.join(workdir, "data")
     cfg.train.epochs = epochs
-    cfg.train.speakers_per_batch = 20
-    cfg.model.block.kind = kind
-    cfg.model.block.tfe = tfe
-    cfg.model.block.dct_grid = [4, 13]  # smallest feature map of the toy net
     return config.validate(cfg)
 
 
@@ -71,7 +59,7 @@ def main():
     trials = prepare_corpus(variant_config(args.workdir, "se", args.epochs, args.seed))
     print(f"{'variant':14s} {'train':>8s} {'EER':>8s} {'minDCF':>8s}")
     results = {}
-    for name in VARIANTS:
+    for name in config.TOY_VARIANTS:
         cfg = variant_config(args.workdir, name, args.epochs, args.seed)
         elapsed, eer, dcf = train_and_score(cfg, trials)
         results[name] = eer

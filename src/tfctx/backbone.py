@@ -15,6 +15,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import os
 import struct
 from typing import Callable
 
@@ -338,19 +339,26 @@ def save_checkpoint(path: str, named_arrays, config: dict) -> None:
 
 
 def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
+    """(config, named arrays) of a checkpoint. Any malformed file raises
+    DataError; a length field larger than the file does so before reading."""
     try:
         with open(path, "rb") as f:
+            size = os.fstat(f.fileno()).st_size
             if f.read(len(_CKPT_MAGIC)) != _CKPT_MAGIC:
                 raise DataError(f"{path} is not a checkpoint (bad magic)")
             (version,) = struct.unpack("<I", f.read(4))
             if version != _CKPT_VERSION:
                 raise DataError(f"unsupported checkpoint version {version}")
             (config_len,) = struct.unpack("<Q", f.read(8))
+            if config_len > size:
+                raise ValueError(f"config length {config_len} exceeds the file")
             config = json.loads(f.read(config_len).decode())
             (count,) = struct.unpack("<Q", f.read(8))
             arrays = {}
             for _ in range(count):
                 (name_len,) = struct.unpack("<Q", f.read(8))
+                if name_len > size:
+                    raise ValueError(f"tensor name length {name_len} exceeds the file")
                 name = f.read(name_len).decode()
                 arrays[name] = T.load_tensor(f)
             return config, arrays

@@ -181,6 +181,29 @@ def load(path: str) -> RunConfig:
     return from_dict(doc)
 
 
+# block variant name -> (model.block.kind, model.block.tfe)
+TOY_VARIANTS = {
+    "se": ("se", False),
+    "att_gcm": ("att_gcm", False),
+    "att_gcm_tfe": ("att_gcm", True),
+    "dct_gcm": ("dct_gcm", False),
+    "dct_gcm_tfe": ("dct_gcm", True),
+}
+
+
+def toy_preset(variant: str) -> RunConfig:
+    """The toy operating point for one block variant: the defaults with 20
+    speakers per batch and the DCT grid of the toy backbone's smallest
+    feature map. Seed, epochs and directories are left to the caller."""
+    if variant not in TOY_VARIANTS:
+        raise ConfigError(f"unknown toy variant {variant!r}; known: {sorted(TOY_VARIANTS)}")
+    cfg = RunConfig()
+    cfg.train.speakers_per_batch = 20
+    cfg.model.block.kind, cfg.model.block.tfe = TOY_VARIANTS[variant]
+    cfg.model.block.dct_grid = [4, 13]
+    return validate(cfg)
+
+
 def dumps(cfg: RunConfig) -> str:
     return json.dumps(to_dict(cfg), indent=2, sort_keys=True)
 

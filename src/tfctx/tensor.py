@@ -21,6 +21,7 @@ Stored values are required to be finite. A NaN or Inf anywhere raises
 from __future__ import annotations
 
 import contextlib
+import math
 import struct
 from typing import Callable, Iterable, Sequence
 
@@ -482,19 +483,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._from_op(y, (a, b), vjp)
 
 
-def _einsum_grad_spec(spec: str):
+def einsum2(spec: str, a: Tensor, b: Tensor) -> Tensor:
+    """Two-operand einsum with automatic VJPs (no repeated indices)."""
     ins, out = spec.split("->")
     sub_a, sub_b = ins.split(",")
     for own, other in ((sub_a, sub_b), (sub_b, sub_a)):
         missing = set(own) - set(out) - set(other)
         if missing:
             raise ShapeError(f"einsum2 cannot differentiate spec {spec!r}: index {missing} is private to one operand")
-    return sub_a, sub_b, out
-
-
-def einsum2(spec: str, a: Tensor, b: Tensor) -> Tensor:
-    """Two-operand einsum with automatic VJPs (no repeated indices)."""
-    sub_a, sub_b, out = _einsum_grad_spec(spec)
     y = np.einsum(spec, a.data, b.data, optimize=True)
 
     def vjp(g):
@@ -512,9 +508,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
            stride=(1, 1), padding=(0, 0)) -> Tensor:
     """2D cross-correlation of NCHW input with OIHW weights.
 
-    Output spatial extents follow floor((n + 2*pad - k)/stride) + 1.
-    Implemented as one GEMM per kernel tap, which keeps both directions
-    BLAS-bound without materializing im2col patches.
+    Output extents follow floor((n + 2*pad - k)/stride) + 1. One route for
+    every shape (patch matrices, Chellapilla et al. 2006): the output and
+    the weight gradient contract one strided view of the padded input's
+    (kf, kt) windows; the input gradient is one einsum into per-window
+    gradients, added back one kernel tap at a time (col2im).
     """
     if x.ndim != 4 or weight.ndim != 4:
         raise ShapeError(f"conv2d expects rank-4 input and weight, got {x.shape} and {weight.shape}")
@@ -532,60 +530,25 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     fo = (f + 2 * pf - kf) // sf + 1
     to = (t + 2 * pt - kt) // st + 1
     xp = np.pad(x.data, ((0, 0), (0, 0), (pf, pf), (pt, pt))) if (pf or pt) else x.data
-
-    # two equivalent contraction orders; the patch-einsum route wins for
-    # narrow inputs, the per-tap GEMM loop for wide ones (measured)
-    patch_route = cin * kf * kt <= 300
-    if patch_route:
-        patches = np.lib.stride_tricks.sliding_window_view(xp, (kf, kt), axis=(2, 3))
-        patches = patches[:, :, ::sf, ::st]
-        out = np.einsum("ncftab,kcab->nkft", patches, weight.data, optimize=True)
-    else:
-        acc = np.zeros((n, fo, to, cout))
-        for a in range(kf):
-            for b in range(kt):
-                xs = xp[:, :, a: a + (fo - 1) * sf + 1: sf, b: b + (to - 1) * st + 1: st]
-                acc += np.tensordot(xs, weight.data[:, :, a, b], axes=([1], [1]))
-        out = np.ascontiguousarray(np.moveaxis(acc, 3, 1))
+    patches = np.lib.stride_tricks.sliding_window_view(xp, (kf, kt), axis=(2, 3))[:, :, ::sf, ::st]
+    out = np.einsum("ncftab,kcab->nkft", patches, weight.data, optimize=True)
     if bias is not None:
         out += bias.data[None, :, None, None]
-
-    parents = (x, weight) if bias is None else (x, weight, bias)
 
     def vjp(g):
         if bias is not None and bias.requires_grad:
             bias._accumulate(g.sum(axis=(0, 2, 3)))
         if weight.requires_grad:
-            if patch_route:
-                patches = np.lib.stride_tricks.sliding_window_view(xp, (kf, kt), axis=(2, 3))
-                weight._accumulate(np.einsum("nkft,ncftab->kcab", g,
-                                             patches[:, :, ::sf, ::st], optimize=True))
-            else:
-                gm = np.moveaxis(g, 1, 3)
-                dw = np.empty_like(weight.data)
-                for a in range(kf):
-                    for b in range(kt):
-                        xs = xp[:, :, a: a + (fo - 1) * sf + 1: sf, b: b + (to - 1) * st + 1: st]
-                        dw[:, :, a, b] = np.tensordot(gm, xs, axes=([0, 1, 2], [0, 2, 3]))
-                weight._accumulate(dw)
+            weight._accumulate(np.einsum("nkft,ncftab->kcab", g, patches, optimize=True))
         if x.requires_grad:
-            if sf == st == 1 and kf - 1 >= pf and kt - 1 >= pt and cout * kf * kt <= 300:
-                # stride-1 input gradient is itself a correlation of the
-                # output gradient with the flipped kernel: no scatter needed
-                gp = np.pad(g, ((0, 0), (0, 0), (kf - 1 - pf,) * 2, (kt - 1 - pt,) * 2))
-                gpatches = np.lib.stride_tricks.sliding_window_view(gp, (kf, kt), axis=(2, 3))
-                wflip = weight.data[:, :, ::-1, ::-1]
-                x._accumulate(np.einsum("nkftab,kcab->ncft", gpatches, wflip, optimize=True))
-            else:
-                gm = np.moveaxis(g, 1, 3)
-                dxp = np.zeros((n, cin, f + 2 * pf, t + 2 * pt))
-                for a in range(kf):
-                    for b in range(kt):
-                        contrib = np.tensordot(gm, weight.data[:, :, a, b], axes=([3], [0]))
-                        dxp[:, :, a: a + (fo - 1) * sf + 1: sf, b: b + (to - 1) * st + 1: st] += np.moveaxis(contrib, 3, 1)
-                x._accumulate(dxp[:, :, pf: pf + f, pt: pt + t])
+            gpatches = np.einsum("nkft,kcab->ncftab", g, weight.data, optimize=True)
+            dxp = np.zeros(xp.shape)
+            for a in range(kf):
+                for b in range(kt):
+                    dxp[:, :, a: a + (fo - 1) * sf + 1: sf, b: b + (to - 1) * st + 1: st] += gpatches[..., a, b]
+            x._accumulate(dxp[:, :, pf: pf + f, pt: pt + t])
 
-    return Tensor._from_op(out, parents, vjp)
+    return Tensor._from_op(out, (x, weight) if bias is None else (x, weight, bias), vjp)
 
 
 def conv1d_same(x: Tensor, kernel: Tensor) -> Tensor:
@@ -712,31 +675,8 @@ def finite_diff_check(fn: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5
     Returns max over elements of |analytic - numeric| / max(1, |analytic|,
     |numeric|); ``fn`` must map a tensor to a scalar tensor.
     """
-    if h <= 0:
-        raise ValueError("finite_diff_check step must be positive")
-    base = x.data.copy()
-
-    probe = Tensor(base.copy(), requires_grad=True)
-    loss = fn(probe)
-    if not isinstance(loss, Tensor) or loss.size != 1:
-        raise ShapeError("finite_diff_check needs a scalar-valued function")
-    loss.backward()
-    analytic = probe.grad.reshape(-1).copy() if probe.grad is not None else np.zeros(base.size)
-
-    numeric = np.empty(base.size)
-    flat = base.reshape(-1)
-    with no_grad():
-        for i in range(base.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up = fn(Tensor(base)).item()
-            flat[i] = orig - h
-            down = fn(Tensor(base)).item()
-            flat[i] = orig
-            numeric[i] = (up - down) / (2.0 * h)
-
-    denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
-    return float(np.max(np.abs(analytic - numeric) / denom)) if base.size else 0.0
+    probe = Tensor(x.data.copy(), requires_grad=True)
+    return _central_differences(lambda: fn(probe), [("x", probe)], h)["x"]
 
 
 def finite_diff_check_params(loss_fn: Callable[[], Tensor],
@@ -750,6 +690,12 @@ def finite_diff_check_params(loss_fn: Callable[[], Tensor],
     runs under ``no_grad()``.
     Returns the max relative error per parameter name.
     """
+    return _central_differences(loss_fn, named_params, h)
+
+
+def _central_differences(loss_fn, named_params, h: float) -> dict[str, float]:
+    if h <= 0:
+        raise ValueError("finite-difference step must be positive")
     params = list(named_params)
     for _, p in params:
         p.grad = None
@@ -790,11 +736,20 @@ def save_tensor(f, array: np.ndarray) -> None:
 
 
 def load_tensor(f) -> np.ndarray:
+    """Read one tensor of the raw dump format. A header whose rank or extents
+    claim more bytes than ``f`` has left raises ValueError before any read."""
     raw = f.read(8)
     if len(raw) != 8:
         raise ValueError("truncated tensor dump header")
     (rank,) = struct.unpack("<Q", raw)
-    shape = struct.unpack(f"<{rank}Q", f.read(8 * rank)) if rank else ()
-    count = int(np.prod(shape)) if rank else 1
+    pos = f.tell()
+    left = f.seek(0, 2) - pos
+    f.seek(pos)
+    if 8 * rank > left:
+        raise ValueError(f"tensor dump rank {rank} exceeds the {left} bytes left")
+    shape = struct.unpack(f"<{rank}Q", f.read(8 * rank))
+    count = math.prod(shape)
+    if 8 * (rank + count) > left:
+        raise ValueError(f"tensor dump extents {shape} exceed the {left} bytes left")
     data = np.frombuffer(f.read(8 * count), dtype="<f8", count=count)
     return data.reshape(shape).astype(np.float64)

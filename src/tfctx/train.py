@@ -74,7 +74,9 @@ def load_features(cfg: RunConfig, rel_paths, use_cache: bool = True) -> dict[str
     """Mean-normalized (n_mels, T) features per relative path; raw fbanks go
     through an on-disk cache in the tensor dump format. Each entry starts
     with its wav's size and modification time, so a rewritten wav misses
-    and its entry is replaced."""
+    and its entry is replaced. Entries are written to a temporary file and
+    renamed into place, and an entry that does not parse counts as a miss,
+    so a run killed mid-write cannot break later runs."""
     fb_cfg = fbank_config(cfg)
     cache_dir = _cache_dir(cfg)
     out = {}
@@ -92,18 +94,22 @@ def load_features(cfg: RunConfig, rel_paths, use_cache: bool = True) -> dict[str
             # split so that every part is exact in float64
             stamp = np.array([st.st_size, st.st_mtime_ns // 10**9, st.st_mtime_ns % 10**9],
                              dtype=np.float64)
-            if os.path.exists(cache_path):
+            try:
                 with open(cache_path, "rb") as f:
                     if np.array_equal(load_tensor(f), stamp):
                         fbank = load_tensor(f)
+            except (FileNotFoundError, ValueError):
+                pass  # no entry, or a torn one: recompute below
         if fbank is None:
             wav = features.read_wav(wav_path)
             fbank = features.compute_fbank(wav, fb_cfg)
             if use_cache:
                 os.makedirs(os.path.dirname(cache_path), exist_ok=True)
-                with open(cache_path, "wb") as f:
+                tmp_path = f"{cache_path}.{os.getpid()}.tmp"
+                with open(tmp_path, "wb") as f:
                     save_tensor(f, stamp)
                     save_tensor(f, fbank)
+                os.replace(tmp_path, cache_path)
         out[rel] = features.mean_normalize(fbank, cfg.features.mean_norm)
     return out
 

@@ -1,10 +1,14 @@
-"""Pointwise DCT oracles shared by the tests: a single basis-grid entry
-from the closed form, and the projection of one channel map onto a grid."""
+"""Helpers shared by the tests: pointwise DCT oracles (a single basis-grid
+entry from the closed form, the projection of one channel map onto a grid)
+and a checkpoint with a forged header field."""
 
+import json
 import math
+import struct
 
 import numpy as np
 
+from tfctx import backbone
 from tfctx.dct import DctBasis
 from tfctx.errors import ShapeError
 
@@ -25,3 +29,18 @@ def dct2_pool(channel_map: np.ndarray, basis: DctBasis) -> float:
         raise ShapeError(
             f"map extents {channel_map.shape} do not match basis grid ({basis.big_f}, {basis.big_t})")
     return float(np.sum(basis.weights * channel_map))
+
+
+def forge_checkpoint(path: str, field: str, value: int) -> None:
+    """Write a one-tensor checkpoint, then overwrite one of its u64 header
+    fields (config_len, name_len, rank or extent) with ``value``."""
+    config = {"seed": 1}
+    backbone.save_checkpoint(path, [("w", np.zeros(2))], config)
+    raw = bytearray(open(path, "rb").read())
+    config_len = len(json.dumps(config, separators=(",", ":")))
+    # magic 8, version 4, config_len 8, config, count 8, name_len 8, name 1, rank 8
+    offset = {"config_len": 12, "name_len": 28 + config_len,
+              "rank": 37 + config_len, "extent": 45 + config_len}[field]
+    raw[offset: offset + 8] = struct.pack("<Q", value)
+    with open(path, "wb") as f:
+        f.write(raw)

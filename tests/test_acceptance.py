@@ -193,26 +193,12 @@ class TestCriterion6TfeInitIdentity:
                 worst < 1e-6, f"max_dev={worst:.2e}")
 
 
-VARIANTS = {
-    "se": {"kind": "se", "tfe": False},
-    "att_gcm": {"kind": "att_gcm", "tfe": False},
-    "att_gcm_tfe": {"kind": "att_gcm", "tfe": True},
-    "dct_gcm": {"kind": "dct_gcm", "tfe": False},
-    "dct_gcm_tfe": {"kind": "dct_gcm", "tfe": True},
-}
-
-
 def toy_config(data_dir, out_dir, variant):
-    cfg = config.RunConfig()
-    cfg.seed = 7
+    """The package's toy preset, trained for 7 epochs."""
+    cfg = config.toy_preset(variant)
     cfg.out_dir = out_dir
     cfg.data.data_dir = data_dir
     cfg.train.epochs = 7
-    cfg.train.speakers_per_batch = 20
-    cfg.model.block.kind = VARIANTS[variant]["kind"]
-    cfg.model.block.tfe = VARIANTS[variant]["tfe"]
-    # the DCT grid follows the smallest feature map of the toy backbone
-    cfg.model.block.dct_grid = [4, 13]
     return config.validate(cfg)
 
 
@@ -229,7 +215,7 @@ class TestCriterion7ToyEndToEnd:
         assert len(trials) == 400
 
         eers = {}
-        for variant in VARIANTS:
+        for variant in config.TOY_VARIANTS:
             cfg = toy_config(data_dir, str(tmp_path / f"run_{variant}"), variant)
             ckpt = train.train_run(cfg, cfg.out_dir, quiet=True)
             embedder, ckpt_cfg = train.load_embedder(ckpt)

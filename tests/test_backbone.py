@@ -8,6 +8,8 @@ from tfctx import tensor as T
 from tfctx.errors import DataError, ShapeError
 from tfctx.tensor import Tensor
 
+from oracles import forge_checkpoint
+
 
 def make_gcm_factory(**kwargs):
     seeds = iter(range(100, 10_000))
@@ -287,3 +289,12 @@ class TestCheckpoint:
     def test_missing_file(self):
         with pytest.raises(DataError):
             backbone.load_checkpoint("/nonexistent/model.ckpt")
+
+    @pytest.mark.parametrize("field,value", [("extent", 2**33), ("rank", 2**40),
+                                             ("extent", 2**64 - 1), ("config_len", 2**62),
+                                             ("name_len", 2**64 - 1)])
+    def test_huge_header_field_is_data_error(self, tmp_path, field, value):
+        path = str(tmp_path / "forged.ckpt")
+        forge_checkpoint(path, field, value)
+        with pytest.raises(DataError, match="corrupt checkpoint"):
+            backbone.load_checkpoint(path)

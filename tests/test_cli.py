@@ -8,7 +8,7 @@ from tfctx import backbone, cli, config, dct, metrics, train
 from tfctx import tensor as T
 from tfctx.errors import ConfigError, DataError
 
-from oracles import basis_weight
+from oracles import basis_weight, forge_checkpoint
 
 
 def micro_config(tmp_path, **train_overrides):
@@ -62,6 +62,21 @@ class TestConfig:
         assert cfg.model.block.tfe_shift_init == 1.0
         assert cfg.train.weight_decay == 5e-5
         assert cfg.train.utts_per_speaker_batch == 2
+
+    @pytest.mark.parametrize("variant,kind,tfe", [
+        ("se", "se", False), ("att_gcm", "att_gcm", False), ("att_gcm_tfe", "att_gcm", True),
+        ("dct_gcm", "dct_gcm", False), ("dct_gcm_tfe", "dct_gcm", True)])
+    def test_toy_preset_is_defaults_plus_operating_point(self, variant, kind, tfe):
+        want = config.to_dict(config.RunConfig())
+        want["train"]["speakers_per_batch"] = 20
+        want["model"]["block"].update(kind=kind, tfe=tfe, dct_grid=[4, 13])
+        assert config.to_dict(config.toy_preset(variant)) == want
+
+    def test_toy_preset_covers_five_variants(self):
+        assert sorted(config.TOY_VARIANTS) == ["att_gcm", "att_gcm_tfe", "dct_gcm",
+                                               "dct_gcm_tfe", "se"]
+        with pytest.raises(ConfigError, match="toy variant"):
+            config.toy_preset("resnet")
 
 
 class TestSynthData:
@@ -180,6 +195,18 @@ class TestTrainEval:
                          "--trials", trials, "--out", str(tmp_path / "broken_eval")])
         assert code == cli.EXIT_DATA
         assert dropped in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value", [("extent", 2**33), ("rank", 2**40),
+                                             ("extent", 2**64 - 1)])
+    def test_huge_tensor_header_exit_code(self, trained, tmp_path, capsys, field, value):
+        path, doc = trained
+        forged = str(tmp_path / "forged.ckpt")
+        forge_checkpoint(forged, field, value)
+        trials = os.path.join(doc["data"]["data_dir"], "trials.txt")
+        code = cli.main(["eval", "--config", path, "--checkpoint", forged,
+                         "--trials", trials, "--out", str(tmp_path / "forged_eval")])
+        assert code == cli.EXIT_DATA
+        assert "corrupt checkpoint" in capsys.readouterr().err
 
     def test_score_command_matches_eval(self, trained, tmp_path, capsys):
         path, doc = trained

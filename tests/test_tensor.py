@@ -58,12 +58,26 @@ class TestConv2d:
         want = conv2d_loops(x, w, b, (1, 1), (0, 0))
         np.testing.assert_allclose(got.data, want, atol=1e-12)
 
-    @pytest.mark.parametrize("stride,padding", [((1, 1), (1, 1)), ((2, 1), (0, 1)), ((2, 2), (1, 0))])
-    def test_strided_padded_matches_oracle(self, stride, padding):
+    # (x shape, w shape, stride, padding): narrow convs, then wide ones
+    # (cin*k*k or cout*k*k above 300), a 1x1 stride-2 projection, and an
+    # unpadded stride-2 conv whose last row no window covers
+    CONV_CASES = [
+        pytest.param((2, 2, 6, 5), (3, 2, 3, 3), (1, 1), (1, 1), id="stride0-padding0"),
+        pytest.param((2, 2, 6, 5), (3, 2, 3, 3), (2, 1), (0, 1), id="stride1-padding1"),
+        pytest.param((2, 2, 6, 5), (3, 2, 3, 3), (2, 2), (1, 0), id="stride2-padding2"),
+        pytest.param((2, 34, 4, 3), (3, 34, 3, 3), (1, 1), (1, 1), id="wide_cin_stride1"),
+        pytest.param((2, 34, 5, 4), (3, 34, 3, 3), (2, 2), (1, 1), id="wide_cin_stride2"),
+        pytest.param((2, 2, 4, 4), (34, 2, 3, 3), (1, 1), (1, 1), id="wide_cout_stride1"),
+        pytest.param((2, 3, 5, 6), (4, 3, 1, 1), (2, 2), (0, 0), id="projection_1x1_stride2"),
+        pytest.param((2, 2, 6, 6), (3, 2, 3, 3), (2, 2), (0, 0), id="uncovered_tail"),
+    ]
+
+    @pytest.mark.parametrize("x_shape,w_shape,stride,padding", CONV_CASES)
+    def test_strided_padded_matches_oracle(self, x_shape, w_shape, stride, padding):
         rng = np.random.default_rng(11)
-        x = rng.normal(size=(2, 2, 6, 5))
-        w = rng.normal(size=(3, 2, 3, 3))
-        b = rng.normal(size=3)
+        x = rng.normal(size=x_shape)
+        w = rng.normal(size=w_shape)
+        b = rng.normal(size=w_shape[0])
         got = T.conv2d(T.Tensor(x), T.Tensor(w), T.Tensor(b), stride=stride, padding=padding)
         np.testing.assert_allclose(got.data, conv2d_loops(x, w, b, stride, padding), atol=1e-12)
 
@@ -82,21 +96,25 @@ class TestConv2d:
             T.conv2d(T.Tensor(np.zeros((1, 1, 2, 2))), T.Tensor(np.zeros((1, 1, 5, 5))), None)
 
     def test_gradients(self):
-        rng = np.random.default_rng(3)
-        x = rng.normal(size=(2, 2, 4, 5))
-        w = rng.normal(size=(3, 2, 3, 3))
-        b = rng.normal(size=3)
+        cases = [((2, 2, 4, 5), (3, 2, 3, 3), (1, 2), (1, 1))]
+        cases += [tuple(case.values) for case in self.CONV_CASES[3:]]
+        for x_shape, w_shape, stride, padding in cases:
+            rng = np.random.default_rng(3)
+            x = rng.normal(size=x_shape)
+            w = rng.normal(size=w_shape)
+            b = rng.normal(size=w_shape[0])
 
-        def loss_wrt(which):
-            def fn(t):
-                args = {"x": T.Tensor(x), "w": T.Tensor(w), "b": T.Tensor(b)}
-                args[which] = t
-                y = T.conv2d(args["x"], args["w"], args["b"], stride=(1, 2), padding=(1, 1))
-                return T.reduce(T.mul(y, y), None, "sum")
-            return fn
+            def loss_wrt(which):
+                def fn(t):
+                    args = {"x": T.Tensor(x), "w": T.Tensor(w), "b": T.Tensor(b)}
+                    args[which] = t
+                    y = T.conv2d(args["x"], args["w"], args["b"], stride=stride, padding=padding)
+                    return T.reduce(T.mul(y, y), None, "sum")
+                return fn
 
-        for which, init in (("x", x), ("w", w), ("b", b)):
-            assert T.finite_diff_check(loss_wrt(which), T.Tensor(init)) < 1e-6
+            for which, init in (("x", x), ("w", w), ("b", b)):
+                err = T.finite_diff_check(loss_wrt(which), T.Tensor(init))
+                assert err < 1e-6, (x_shape, w_shape, stride, padding, which, err)
 
 
 class TestBatchNorm:
@@ -444,3 +462,9 @@ class TestDumpFormat:
     def test_truncated_rejected(self):
         with pytest.raises(ValueError):
             T.load_tensor(io.BytesIO(b"\x01"))
+
+    @pytest.mark.parametrize("header", [(1, 2**33), (2**40,), (1, 2**64 - 1)])
+    def test_huge_header_rejected_before_reading(self, header):
+        raw = b"".join(v.to_bytes(8, "little") for v in header) + bytes(16)
+        with pytest.raises(ValueError, match="bytes left"):
+            T.load_tensor(io.BytesIO(raw))

@@ -74,6 +74,21 @@ class TestFeatureCache:
         monkeypatch.setattr(features, "compute_fbank", no_fbank)
         assert_same_features(train.load_features(cfg, rels), want)
 
+    def test_torn_entry_is_a_miss_and_rewritten(self, tmp_path):
+        cfg = micro_config(tmp_path)
+        train.synth_corpus(cfg, quiet=True)
+        rels = train_paths(cfg)
+        train.load_features(cfg, rels)
+        entry = os.path.join(train._cache_dir(cfg), rels[0] + ".tfd")
+        whole = os.path.getsize(entry)
+        with open(entry, "r+b") as f:
+            f.truncate(whole // 2)  # a write cut short: the fbank's data is partial
+
+        assert_same_features(train.load_features(cfg, rels),
+                             train.load_features(cfg, rels, use_cache=False))
+        assert os.path.getsize(entry) == whole
+        assert not [name for name in os.listdir(os.path.dirname(entry)) if name.endswith(".tmp")]
+
 
 class TestTrainLog:
     def test_rerun_replaces_log(self, tmp_path):
