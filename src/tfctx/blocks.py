@@ -226,7 +226,9 @@ def tfe_enhance(feature_map: Tensor, context: Tensor, params: TfeParams) -> Tens
     groups), scored against every local feature vector through the mixing
     matrix, standardized over the grid (eps guards the deviation, never a
     bare division), then affinely mapped and squashed into a sigmoid gate
-    on the group's features.
+    on the group's features. The mixing matrix is applied to the context,
+    not the map: <u, W x> = <W^T u, x>, so the score of each position is
+    one dot product of its features with a per-group query W^T u.
     """
     n, c, f, t = feature_map.shape
     if c != params.channels:
@@ -240,9 +242,10 @@ def tfe_enhance(feature_map: Tensor, context: Tensor, params: TfeParams) -> Tens
     norm = T.sqrt(T.add(T.reduce(T.mul(ctx_g, ctx_g), (2,), "sum", keepdims=True), _NORM_GUARD_SQ))
     unit_ctx = T.div(ctx_g, norm)
 
-    spec = "dc,ngcft->ngdft" if params.shared else "gdc,ngcft->ngdft"
-    mixed = T.einsum2(spec, params.mix, grouped)
-    scores = T.einsum2("ngd,ngdft->ngft", unit_ctx, mixed)
+    # no (N, G, D, F, T) mixed map is built or differentiated
+    spec = "ngd,dc->ngc" if params.shared else "ngd,gdc->ngc"
+    query = T.einsum2(spec, unit_ctx, params.mix)
+    scores = T.einsum2("ngc,ngcft->ngft", query, grouped)
 
     mu = T.reduce(scores, (2, 3), "mean", keepdims=True)
     centered = T.add(scores, T.mul(mu, -1.0))

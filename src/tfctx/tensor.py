@@ -329,8 +329,12 @@ def tanh(x: Tensor) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    # exp(-logaddexp(0, -x)) = 1/(1+e^-x), stable for large |x|
-    y = np.exp(-np.logaddexp(0.0, -x.data))
+    # 0.5*tanh(x/2) + 0.5 = 1/(1+e^-x): tanh saturates where exp would
+    # overflow, and one tanh is cheaper than an exp/log pair
+    y = np.multiply(x.data, 0.5)
+    np.tanh(y, out=y)
+    y *= 0.5
+    y += 0.5
 
     def vjp(g):
         x._accumulate(g * y * (1.0 - y))
@@ -598,39 +602,53 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5,
         raise ValueError("batch_norm2d eps must be positive")
     if x.ndim != 4:
         raise ShapeError(f"batch_norm2d expects rank-4 input, got {x.shape}")
-    c = x.shape[1]
+    n, c, f, t = x.shape
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"gamma/beta must have shape ({c},), got {gamma.shape} and {beta.shape}")
 
+    count = n * f * t
+    # one (N, C, F*T) view: einsum sums over (n, p) in one pass, where
+    # reductions over axes (0, 2, 3) walk the array several times
+    flat = x.data.reshape(n, c, f * t)
     if training:
-        mean = x.data.mean(axis=(0, 2, 3))
-        var = x.data.var(axis=(0, 2, 3))
+        mean = np.einsum("ncp->c", flat) / count
+        xhat = flat - mean[:, None]
+        var = np.einsum("ncp,ncp->c", xhat, xhat) / count
         if running is not None:
             running.update(mean, var)
     else:
         if running is None:
             raise ValueError("inference-mode batch_norm2d needs running stats")
-        mean, var = running.mean, running.var
+        xhat = flat - running.mean[:, None]
+        var = running.var
 
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean[None, :, None, None]) * inv[None, :, None, None]
-    y = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
+    xhat *= inv[:, None]
+    y = xhat * gamma.data[:, None]
+    y += beta.data[:, None]
 
     def vjp(g):
+        g = g.reshape(n, c, f * t)
+        # Ioffe & Szegedy 2015: the beta and gamma gradients are also the two
+        # per-channel sums the batch-statistics input gradient needs
+        sum_g = np.einsum("ncp->c", g)
+        sum_gx = np.einsum("ncp,ncp->c", g, xhat)
         if beta.requires_grad:
-            beta._accumulate(g.sum(axis=(0, 2, 3)))
+            beta._accumulate(sum_g)
         if gamma.requires_grad:
-            gamma._accumulate((g * xhat).sum(axis=(0, 2, 3)))
+            gamma._accumulate(sum_gx)
         if x.requires_grad:
-            gh = g * gamma.data[None, :, None, None]
+            scale = gamma.data * inv
             if training:
-                mu_g = gh.mean(axis=(0, 2, 3), keepdims=True)
-                mu_gx = (gh * xhat).mean(axis=(0, 2, 3), keepdims=True)
-                x._accumulate(inv[None, :, None, None] * (gh - mu_g - xhat * mu_gx))
+                dx = xhat * (-sum_gx / count)[:, None]
+                dx += g
+                dx -= (sum_g / count)[:, None]
+                dx *= scale[:, None]
             else:
-                x._accumulate(gh * inv[None, :, None, None])
+                dx = g * scale[:, None]
+            x._accumulate(dx.reshape(x.shape))
 
-    return Tensor._from_op(y, (x, gamma, beta), vjp)
+    return Tensor._from_op(y.reshape(x.shape), (x, gamma, beta), vjp)
 
 
 _POOL_MATRICES: dict[tuple[int, int], np.ndarray] = {}

@@ -231,6 +231,18 @@ class TestTfeEnhance:
         want, _ = tfe_oracle(x, ctx, params)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_group_width_one_matches_oracle(self, shared):
+        """One channel per group, as at the toy net's first stage (C=8,
+        8 groups): each score is the map itself times a signed scalar."""
+        params = blocks.TfeParams(8, n_groups=8, scale_init=0.6, shift_init=0.4, shared=shared,
+                                  rng=np.random.default_rng(21))
+        x = rng_map((2, 8, 4, 5), seed=22)
+        ctx = rng_map((2, 8), seed=23)
+        got = blocks.tfe_enhance(Tensor(x), Tensor(ctx), params).data
+        want, _ = tfe_oracle(x, ctx, params)
+        np.testing.assert_allclose(got, want, atol=1e-12)
+
     def test_zero_context_group_is_benign(self):
         """A relu bottleneck can hand over an exactly-zero context; the
         enhancement must degrade to a uniform sigmoid(shift) gate."""
@@ -343,11 +355,13 @@ class TestBlockGradients:
         ("multi_dct", "fc", False),
         ("attention", "fc", True),
         ("multi_dct", "conv1d", True),
+        ("gap", "fc", "shared"),
     ])
     def test_input_gradient(self, kind, transform, tfe):
         block = blocks.GcmBlock(8, kind=kind, transform=transform, reduction=4,
-                                dct_grid=(3, 4), dct_components=3, tfe=tfe, tfe_groups=4,
-                                tfe_scale_init=0.5, rng=np.random.default_rng(24))
+                                dct_grid=(3, 4), dct_components=3, tfe=bool(tfe), tfe_groups=4,
+                                tfe_scale_init=0.5, tfe_shared=tfe == "shared",
+                                rng=np.random.default_rng(24))
         x = rng_map((1, 8, 3, 4), seed=25)
         target = Tensor(rng_map((1, 8, 3, 4), seed=26))
 

@@ -164,6 +164,64 @@ class TestBatchNorm:
         assert T.finite_diff_check(fn_x, T.Tensor(x)) < 1e-4
         assert T.finite_diff_check(fn_gamma, T.Tensor(gamma)) < 1e-6
 
+    def test_beta_gradient_vs_finite_differences(self):
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(3, 2, 4, 3))
+        gamma = rng.normal(size=2)
+        target = rng.normal(size=(3, 2, 4, 3))
+
+        def fn_beta(t):
+            y = T.batch_norm2d(T.Tensor(x), T.Tensor(gamma), t)
+            d = T.add(y, T.mul(T.Tensor(target), -1.0))
+            return T.reduce(T.mul(d, d), None, "sum")
+
+        assert T.finite_diff_check(fn_beta, T.Tensor(rng.normal(size=2))) < 1e-6
+
+    def test_eval_mode_gradients_vs_finite_differences(self):
+        rng = np.random.default_rng(10)
+        x = rng.normal(size=(3, 2, 4, 3))
+        gamma = rng.normal(size=2)
+        beta = rng.normal(size=2)
+        target = rng.normal(size=(3, 2, 4, 3))
+        running = T.RunningStats(2)
+        running.mean = rng.normal(size=2)
+        running.var = rng.uniform(0.5, 2.0, size=2)
+
+        def loss(xt, gt, bt):
+            y = T.batch_norm2d(xt, gt, bt, training=False, running=running)
+            d = T.add(y, T.mul(T.Tensor(target), -1.0))
+            return T.reduce(T.mul(d, d), None, "sum")
+
+        assert T.finite_diff_check(lambda t: loss(t, T.Tensor(gamma), T.Tensor(beta)), T.Tensor(x)) < 1e-4
+        assert T.finite_diff_check(lambda t: loss(T.Tensor(x), t, T.Tensor(beta)), T.Tensor(gamma)) < 1e-6
+        assert T.finite_diff_check(lambda t: loss(T.Tensor(x), T.Tensor(gamma), t), T.Tensor(beta)) < 1e-6
+
+    def test_running_var_is_biased_batch_variance(self):
+        rng = np.random.default_rng(11)
+        x = rng.normal(loc=-2.0, scale=3.0, size=(5, 3, 4, 6))
+        running = T.RunningStats(3, momentum=1.0)
+        T.batch_norm2d(T.Tensor(x), T.Tensor(np.ones(3)), T.Tensor(np.zeros(3)), running=running)
+        np.testing.assert_allclose(running.var, x.var(axis=(0, 2, 3)), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_non_contiguous_input_matches_contiguous_copy(self, training):
+        rng = np.random.default_rng(12)
+        view = rng.normal(size=(3, 2, 5, 4)).transpose(0, 1, 3, 2)
+        assert not view.flags.c_contiguous
+        gamma = rng.normal(size=2)
+        beta = rng.normal(size=2)
+        g = rng.normal(size=view.shape)
+        running = T.RunningStats(2)
+        running.var = rng.uniform(0.5, 2.0, size=2)
+        results = []
+        for data in (view, np.ascontiguousarray(view)):
+            xt, gt, bt = (T.Tensor(a, requires_grad=True) for a in (data, gamma, beta))
+            y = T.batch_norm2d(xt, gt, bt, training=training, running=running)
+            T.reduce(T.mul(y, T.Tensor(g)), None, "sum").backward()
+            results.append((y.data, xt.grad, gt.grad, bt.grad))
+        for got, want in zip(*results):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
 
 _ACTIVATIONS = {"relu": T.relu, "tanh": T.tanh, "sigmoid": T.sigmoid}
 
@@ -188,6 +246,11 @@ class TestActivations:
     def test_sigmoid_extreme_inputs_stable(self):
         y = T.sigmoid(T.Tensor([-1000.0, 1000.0]))
         np.testing.assert_allclose(y.data, [0.0, 1.0], atol=1e-12)
+
+    def test_sigmoid_matches_logistic_formula(self):
+        x = np.linspace(-30.0, 30.0, 6001)
+        y = T.sigmoid(T.Tensor(x)).data
+        np.testing.assert_allclose(y, 1.0 / (1.0 + np.exp(-x)), rtol=0, atol=1e-15)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
