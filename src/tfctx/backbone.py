@@ -125,7 +125,7 @@ class ResidualBlock:
         branch = x
         if self.gcm is not None and self.insertion == "before_conv":
             branch = self.gcm(branch)
-        y = T.relu(self.bn1(self.conv1(branch), training))
+        y = T.clamp_min(self.bn1(self.conv1(branch), training), 0.0)
         y = self.conv2(y)
         if self.gcm is not None and self.insertion == "before_bn":
             y = self.gcm(y)
@@ -133,7 +133,7 @@ class ResidualBlock:
         if self.gcm is not None and self.insertion == "after_bn":
             y = self.gcm(y)
         identity = x if self.proj is None else self.proj_bn(self.proj(x), training)
-        return T.relu(T.add(y, identity))
+        return T.clamp_min(T.add(y, identity), 0.0)
 
 
 class AttentiveStatsPool(blocks.AttentionContext):
@@ -251,7 +251,7 @@ class Embedder:
             raise ShapeError(f"expected (N, 1, F, T) input, got {x.shape}")
         if x.shape[2] != self.mel_bins:
             raise ShapeError(f"model built for {self.mel_bins} mel bins, got {x.shape[2]}")
-        y = T.relu(self.stem_bn(self.stem(x), training))
+        y = T.clamp_min(self.stem_bn(self.stem(x), training), 0.0)
         for stage in self.stages:
             for block in stage:
                 y = block(y, training)

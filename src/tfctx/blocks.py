@@ -142,7 +142,7 @@ class FcChannelTransform:
         return [(f"{prefix}.w_in", self.w_in), (f"{prefix}.w_out", self.w_out)]
 
     def logits(self, context: Tensor) -> Tensor:
-        hidden = T.relu(T.matmul(context, T.moveaxis(self.w_in, 0, 1)))
+        hidden = T.clamp_min(T.matmul(context, T.moveaxis(self.w_in, 0, 1)), 0.0)
         return T.matmul(hidden, T.moveaxis(self.w_out, 0, 1))
 
 

