@@ -242,9 +242,6 @@ class Embedder:
             for bi, block in enumerate(stage):
                 block.load_state(f"stage{si}.block{bi}", arrays)
 
-    def parameter_count(self) -> int:
-        return sum(t.size for _, t in self.named_parameters())
-
     def forward(self, x: Tensor, training: bool = False) -> Tensor:
         """(N, 1, F, T) feature maps -> pre-normalization embeddings (N, E)."""
         if x.ndim != 4 or x.shape[1] != 1:
@@ -258,8 +255,7 @@ class Embedder:
         n = y.shape[0]
         frames = T.reshape(y, (n, self.frame_dim, y.shape[3]))
         pooled = self.pool(frames)
-        return T.add(T.matmul(pooled, T.moveaxis(self.head_w, 0, 1)),
-                     T.reshape(self.head_b, (1, self.embed_dim)))
+        return T.linear(pooled, self.head_w, self.head_b)
 
     def embed(self, x: Tensor, training: bool = False) -> Tensor:
         """Unit-norm embeddings; raises rather than dividing by a zero norm.

@@ -82,21 +82,21 @@ class AttentionContext:
 
 class MultiDctContext:
     """Fixed DCT-grid pooling: project each channel onto the K lowest grids
-    and keep the per-channel maximum. Maps whose extents differ from the
-    grid are first rescaled by adaptive average pooling."""
+    and keep the per-channel maximum. A map whose extents differ from the
+    grid is projected onto the grids pulled back through adaptive average
+    pooling (``DctBasisSet.pooled``), which equals pooling it first."""
 
     def __init__(self, basis_set: DctBasisSet):
         if len(basis_set) == 0:
             raise ValueError("empty basis set")
         self.basis_set = basis_set
-        self._stack = Tensor(basis_set.stacked())
 
     def named_parameters(self, prefix: str = "dct"):
         return []
 
     def __call__(self, feature_map: Tensor) -> Tensor:
-        m = T.adaptive_avg_pool2d(feature_map, (self.basis_set.big_f, self.basis_set.big_t))
-        responses = T.einsum2("ncft,kft->nck", m, self._stack)
+        grids = Tensor(self.basis_set.pooled(*feature_map.shape[2:]))
+        responses = T.einsum2("ncft,kft->nck", feature_map, grids)
         return T.reduce(responses, (2,), "max")
 
 
@@ -142,8 +142,8 @@ class FcChannelTransform:
         return [(f"{prefix}.w_in", self.w_in), (f"{prefix}.w_out", self.w_out)]
 
     def logits(self, context: Tensor) -> Tensor:
-        hidden = T.clamp_min(T.matmul(context, T.moveaxis(self.w_in, 0, 1)), 0.0)
-        return T.matmul(hidden, T.moveaxis(self.w_out, 0, 1))
+        hidden = T.clamp_min(T.linear(context, self.w_in), 0.0)
+        return T.linear(hidden, self.w_out)
 
 
 class Conv1dChannelTransform:

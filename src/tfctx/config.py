@@ -10,6 +10,7 @@ stays expressible through the same document.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -138,16 +139,10 @@ _VALID = {
 
 
 def validate(cfg: RunConfig) -> RunConfig:
-    checks = {
-        "features.mean_norm": cfg.features.mean_norm,
-        "model.block.kind": cfg.model.block.kind,
-        "model.block.transform": cfg.model.block.transform,
-        "model.block.insertion": cfg.model.block.insertion,
-        "model.block.stages": cfg.model.block.stages,
-    }
-    for key, value in checks.items():
-        if value not in _VALID[key]:
-            raise ConfigError(f"{key}: {value!r} not in {_VALID[key]}")
+    for key, allowed in _VALID.items():
+        value = functools.reduce(getattr, key.split("."), cfg)
+        if value not in allowed:
+            raise ConfigError(f"{key}: {value!r} not in {allowed}")
     if not (len(cfg.model.stage_channels) == len(cfg.model.blocks_per_stage)
             == len(cfg.model.stage_strides)):
         raise ConfigError("model: stage_channels, blocks_per_stage and stage_strides must align")

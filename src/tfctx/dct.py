@@ -8,7 +8,9 @@ is absorbed by the learnable channel transform downstream.
 
 Map sizes here are tiny (default grid 8x25), so pooling
 (``blocks.MultiDctContext``) is a direct contraction with the stacked grids
-rather than a fast transform.
+rather than a fast transform. A map of another extent is contracted with
+the grids pulled back through adaptive average pooling (``pooled``): both
+steps are linear, so this equals pooling the map to the grid first.
 """
 
 from __future__ import annotations
@@ -55,6 +57,34 @@ class DctBasisSet:
     def stacked(self) -> np.ndarray:
         """(K, F, T) array of the grids, in order."""
         return np.stack([b.weights for b in self.components])
+
+    def pooled(self, f: int, t: int) -> np.ndarray:
+        """(K, f, t) grids whose projection of an f x t map equals the
+        projection of that map average-pooled to F x T. On the grid itself
+        the pool matrices are identities, so this is ``stacked()`` exactly.
+        Computed once per set and (f, t); the cached array is read-only."""
+        key = (self, f, t)
+        if key not in _POOLED_CACHE:
+            # C order: the map gradient einsum2 computes from it inherits its layout
+            grids = np.ascontiguousarray(np.einsum("kab,af,bt->kft", self.stacked(), _pool_matrix(f, self.big_f),
+                                                   _pool_matrix(t, self.big_t), optimize=True))
+            grids.setflags(write=False)
+            _POOLED_CACHE[key] = grids
+        return _POOLED_CACHE[key]
+
+
+_POOLED_CACHE: dict[tuple[DctBasisSet, int, int], np.ndarray] = {}
+
+
+def _pool_matrix(n_in: int, n_out: int) -> np.ndarray:
+    """(n_out, n_in) adaptive average pooling: row i averages the
+    near-uniform cell [floor(i*n_in/n_out), ceil((i+1)*n_in/n_out))."""
+    m = np.zeros((n_out, n_in))
+    for i in range(n_out):
+        lo = (i * n_in) // n_out
+        hi = -(-(i + 1) * n_in // n_out)  # ceil
+        m[i, lo:hi] = 1.0 / (hi - lo)
+    return m
 
 
 def component_order(big_f: int, big_t: int) -> list[tuple[int, int]]:

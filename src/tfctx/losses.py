@@ -71,43 +71,22 @@ def _unit_rows(x: Tensor, what: str) -> Tensor:
     return T.div(x, T.sqrt(sq))
 
 
-def _mean_row_ce(logits: Tensor, targets) -> Tensor:
-    """Mean over rows of -log softmax(row)[target], via a max-shifted
-    log-sum-exp and a one-hot mask."""
-    b, k = logits.shape
-    peak = T.reduce(logits, (1,), "max", keepdims=True)
-    sum_exp = T.reduce(T.exp(T.add(logits, T.mul(peak, -1.0))), (1,), "sum", keepdims=True)
-    lse = T.reshape(T.add(peak, T.log(sum_exp)), (b,))
-    onehot = np.zeros((b, k))
-    onehot[np.arange(b), targets] = 1.0
-    own = T.reduce(T.mul(logits, Tensor(onehot)), (1,), "sum")
-    return T.reduce(T.add(lse, T.mul(own, -1.0)), (0,), "mean")
-
-
 def angular_proto_loss(batch: Tensor, params: ProtoParams) -> Tensor:
     """Softmax over scaled cosines between each query and all prototypes."""
     n, m, d = _check_batch(batch)
     queries = T.reshape(T.narrow(batch, 1, m - 1, 1), (n, d))
     protos = prototypes(batch)
-    cosines = T.matmul(_unit_rows(queries, "query"),
-                       T.moveaxis(_unit_rows(protos, "prototype"), 0, 1))
+    cosines = T.linear(_unit_rows(queries, "query"), _unit_rows(protos, "prototype"))
     logits = T.add(T.mul(cosines, params.scale), params.bias)
-    return _mean_row_ce(logits, np.arange(n))
+    return T.cross_entropy(logits, np.arange(n))
 
 
 def softmax_ce_loss(embeddings: Tensor, labels, head: ClassifierHead) -> Tensor:
     """Mean negative log-likelihood of the labelled speakers."""
-    if embeddings.ndim != 2:
-        raise ShapeError(f"expected (B, D) embeddings, got {embeddings.shape}")
     labels = np.asarray(labels, dtype=np.int64)
-    b = embeddings.shape[0]
-    if labels.shape != (b,):
-        raise ShapeError(f"expected {b} labels, got shape {labels.shape}")
-    if labels.min() < 0 or labels.max() >= head.num_speakers:
+    if np.any((labels < 0) | (labels >= head.num_speakers)):
         raise ValueError(f"label out of range [0, {head.num_speakers})")
-    logits = T.add(T.matmul(embeddings, T.moveaxis(head.weight, 0, 1)),
-                   T.reshape(head.bias, (1, head.num_speakers)))
-    return _mean_row_ce(logits, labels)
+    return T.cross_entropy(T.linear(embeddings, head.weight, head.bias), labels)
 
 
 def combined_loss(batch: Tensor, labels, head: ClassifierHead,

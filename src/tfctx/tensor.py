@@ -200,9 +200,6 @@ class Tensor:
     def __truediv__(self, other):
         return div(self, other)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def sum(self, axes=None, keepdims=False):
         return reduce(self, axes, "sum", keepdims)
 
@@ -272,24 +269,6 @@ def div(a, b) -> Tensor:
             b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
     return Tensor._from_op(out_data, (a, b), vjp)
-
-
-def exp(x: Tensor) -> Tensor:
-    y = np.exp(x.data)
-
-    def vjp(g):
-        x._accumulate(g * y)
-
-    return Tensor._from_op(y, (x,), vjp)
-
-
-def log(x: Tensor) -> Tensor:
-    y = np.log(x.data)
-
-    def vjp(g):
-        x._accumulate(g / x.data)
-
-    return Tensor._from_op(y, (x,), vjp)
 
 
 def sqrt(x: Tensor) -> Tensor:
@@ -409,6 +388,31 @@ def softmax_over(x: Tensor, axes) -> Tensor:
     return Tensor._from_op(s, (x,), vjp)
 
 
+def cross_entropy(logits: Tensor, targets) -> Tensor:
+    """Mean over the rows of (B, K) logits of lse(row) - row[target], with a
+    max-shifted log-sum-exp; the gradient is (softmax - onehot) / B."""
+    if logits.ndim != 2:
+        raise ShapeError(f"cross_entropy expects (B, K) logits, got {logits.shape}")
+    b = logits.shape[0]
+    targets = np.asarray(targets)
+    if targets.shape != (b,):
+        raise ShapeError(f"expected {b} targets, got shape {targets.shape}")
+    rows = np.arange(b)
+    peak = logits.data.max(axis=1, keepdims=True)
+    e = np.exp(logits.data - peak)
+    sum_e = e.sum(axis=1, keepdims=True)
+    lse = (peak + np.log(sum_e)).reshape(b)
+    loss = (lse - logits.data[rows, targets]).mean(axis=0)
+
+    def vjp(g):
+        grad = e / sum_e
+        grad[rows, targets] -= 1.0
+        grad *= g / b
+        logits._accumulate(grad)
+
+    return Tensor._from_op(loss, (logits,), vjp)
+
+
 # -- shape manipulation -------------------------------------------------------
 
 def reshape(x: Tensor, shape) -> Tensor:
@@ -419,15 +423,6 @@ def reshape(x: Tensor, shape) -> Tensor:
         x._accumulate(g.reshape(x.shape))
 
     return Tensor._from_op(y, (x,), vjp)
-
-
-def moveaxis(x: Tensor, src, dst) -> Tensor:
-    y = np.moveaxis(x.data, src, dst)
-
-    def vjp(g):
-        x._accumulate(np.moveaxis(g, dst, src))
-
-    return Tensor._from_op(y.copy(), (x,), vjp)
 
 
 def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
@@ -464,20 +459,28 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
 
 # -- contractions -------------------------------------------------------------
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects rank-2 operands, got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
-    y = a.data @ b.data
+def linear(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
+    """``x @ w.T + bias`` for (N, I) rows, (O, I) weights and an optional
+    (O,) bias; no transposed copy of ``w`` is made either way."""
+    if x.ndim != 2 or w.ndim != 2:
+        raise ShapeError(f"linear expects (N, I) rows and (O, I) weights, got {x.shape} and {w.shape}")
+    if x.shape[1] != w.shape[1]:
+        raise ShapeError(f"linear width mismatch: rows {x.shape}, weights {w.shape}")
+    if bias is not None and bias.shape != (w.shape[0],):
+        raise ShapeError(f"bias shape {bias.shape} does not match {w.shape[0]} outputs")
+    y = x.data @ w.data.T
+    if bias is not None:
+        y += bias.data
 
     def vjp(g):
-        if a.requires_grad:
-            a._accumulate(g @ b.data.T)
-        if b.requires_grad:
-            b._accumulate(a.data.T @ g)
+        if x.requires_grad:
+            x._accumulate(g @ w.data)
+        if w.requires_grad:
+            w._accumulate(g.T @ x.data)
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(g.sum(axis=0))
 
-    return Tensor._from_op(y, (a, b), vjp)
+    return Tensor._from_op(y, (x, w) if bias is None else (x, w, bias), vjp)
 
 
 def einsum2(spec: str, a: Tensor, b: Tensor) -> Tensor:
@@ -642,40 +645,6 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5,
             x._accumulate(dx.reshape(x.shape))
 
     return Tensor._from_op(y.reshape(x.shape), (x, gamma, beta), vjp)
-
-
-_POOL_MATRICES: dict[tuple[int, int], np.ndarray] = {}
-
-
-def _pool_matrix(n_in: int, n_out: int) -> np.ndarray:
-    key = (n_in, n_out)
-    if key not in _POOL_MATRICES:
-        m = np.zeros((n_out, n_in))
-        for i in range(n_out):
-            lo = (i * n_in) // n_out
-            hi = -(-(i + 1) * n_in // n_out)  # ceil
-            m[i, lo:hi] = 1.0 / (hi - lo)
-        _POOL_MATRICES[key] = m
-    return _POOL_MATRICES[key]
-
-
-def adaptive_avg_pool2d(x: Tensor, out_size: tuple[int, int]) -> Tensor:
-    """Rescale the trailing (F, T) extents of an (N, C, F, T) tensor by
-    averaging over near-uniform cells, torch-style index arithmetic."""
-    if x.ndim != 4:
-        raise ShapeError(f"adaptive_avg_pool2d expects rank-4 input, got {x.shape}")
-    fo, to = out_size
-    _, _, f, t = x.shape
-    if (f, t) == (fo, to):
-        return x
-    pf = _pool_matrix(f, fo)
-    pt = _pool_matrix(t, to)
-    y = np.einsum("ncft,af,bt->ncab", x.data, pf, pt, optimize=True)
-
-    def vjp(g):
-        x._accumulate(np.einsum("ncab,af,bt->ncft", g, pf, pt, optimize=True))
-
-    return Tensor._from_op(y, (x,), vjp)
 
 
 # -- gradient oracle ----------------------------------------------------------

@@ -1,6 +1,7 @@
 """Helpers shared by the tests: pointwise DCT oracles (a single basis-grid
-entry from the closed form, the projection of one channel map onto a grid)
-and a checkpoint with a forged header field."""
+entry from the closed form, the projection of one channel map onto a grid,
+cell-by-cell adaptive average pooling) and a checkpoint with a forged header
+field."""
 
 import json
 import math
@@ -29,6 +30,19 @@ def dct2_pool(channel_map: np.ndarray, basis: DctBasis) -> float:
         raise ShapeError(
             f"map extents {channel_map.shape} do not match basis grid ({basis.big_f}, {basis.big_t})")
     return float(np.sum(basis.weights * channel_map))
+
+
+def adaptive_avg_pool(channel_map: np.ndarray, out_f: int, out_t: int) -> np.ndarray:
+    """Average an FxT map over out_f x out_t near-uniform cells; cell i of
+    an axis of extent n spans [floor(i*n/out), ceil((i+1)*n/out))."""
+    big_f, big_t = channel_map.shape
+    out = np.empty((out_f, out_t))
+    for a in range(out_f):
+        f0, f1 = a * big_f // out_f, math.ceil((a + 1) * big_f / out_f)
+        for b in range(out_t):
+            t0, t1 = b * big_t // out_t, math.ceil((b + 1) * big_t / out_t)
+            out[a, b] = channel_map[f0:f1, t0:t1].mean()
+    return out
 
 
 def forge_checkpoint(path: str, field: str, value: int) -> None:

@@ -246,7 +246,7 @@ class TestParameterCount:
         want = backbone.analytic_embedder_count(
             16, [4, 4, 8, 8], [1, 1, 1, 1], [1, 2, 2, 1], 2, 8, 4,
             gcm_counter=counter, gcm_stages=gcm_stages)
-        assert emb.parameter_count() == want
+        assert blocks.parameter_count(emb.named_parameters()) == want
 
 
 class TestCheckpoint:

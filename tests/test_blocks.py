@@ -8,7 +8,7 @@ from tfctx import tensor as T
 from tfctx.errors import ShapeError
 from tfctx.tensor import Tensor
 
-from oracles import dct2_pool
+from oracles import adaptive_avg_pool, dct2_pool
 
 
 def rng_map(shape, seed=0):
@@ -166,12 +166,28 @@ class TestMultiDctContext:
         x = rng_map((1, 2, 8, 12), seed=14)
         basis_set = dct.build_basis_set(4, 6, 3)
         got = blocks.MultiDctContext(basis_set)(Tensor(x)).data
-        pooled = T.adaptive_avg_pool2d(Tensor(x), (4, 6)).data
         want = np.array([[
-            max(dct2_pool(pooled[0, c], b) for b in basis_set.components)
+            max(dct2_pool(adaptive_avg_pool(x[0, c], 4, 6), b) for b in basis_set.components)
             for c in range(2)
         ]])
         np.testing.assert_allclose(got, want, atol=1e-10)
+
+    def test_toy_grid_matches_pool_then_project(self):
+        # a stage-sized batch on the toy 4x13 grid; neither extent divides
+        x = rng_map((40, 8, 16, 50), seed=17)
+        basis_set = dct.build_basis_set(4, 13, 4)
+        got = blocks.MultiDctContext(basis_set)(Tensor(x)).data
+        want = np.array([[
+            max(dct2_pool(adaptive_avg_pool(x[n, c], 4, 13), b) for b in basis_set.components)
+            for c in range(8)
+        ] for n in range(40)])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_off_grid_input_gradient(self):
+        context = blocks.MultiDctContext(dct.build_basis_set(3, 4, 3))
+        target = Tensor(rng_map((2, 5), seed=19))
+        fn = lambda t: T.mul(context(t), target).sum()
+        assert T.finite_diff_check(fn, Tensor(rng_map((2, 5, 7, 10), seed=18))) < 1e-6
 
     def test_empty_basis_rejected(self):
         with pytest.raises(ValueError):

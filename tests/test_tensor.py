@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tfctx import dct
 from tfctx import tensor as T
 from tfctx.errors import NumericalError, ShapeError
 
@@ -293,6 +294,44 @@ class TestSoftmax:
         assert (y.data > 0).all()
 
 
+class TestCrossEntropy:
+    def test_huge_logits_match_closed_form(self):
+        logits = T.Tensor([[1000.0, -1000.0, 0.0],
+                           [-1000.0, 1000.0, 1000.0],
+                           [1000.0, 1000.0, 1000.0],
+                           [1000.0, -1000.0, -1000.0]], requires_grad=True)
+        loss = T.cross_entropy(logits, [0, 1, 2, 1])
+        # rows: lse - own = 0, log 2, log 3, 2000
+        assert loss.item() == pytest.approx((np.log(2) + np.log(3) + 2000.0) / 4, abs=1e-12)
+        loss.backward()
+        want = np.array([[0.0, 0.0, 0.0], [0.0, -0.5, 0.5], [1 / 3, 1 / 3, -2 / 3], [1.0, -1.0, 0.0]]) / 4
+        np.testing.assert_allclose(logits.grad, want, rtol=0, atol=1e-15)
+
+    def test_targets_shape_checked(self):
+        with pytest.raises(ShapeError):
+            T.cross_entropy(T.Tensor(np.zeros((3, 4))), [0, 1])
+
+
+class TestLinear:
+    def test_matches_matrix_product(self):
+        rng = np.random.default_rng(12)
+        x, w, b = rng.normal(size=(5, 3)), rng.normal(size=(4, 3)), rng.normal(size=4)
+        np.testing.assert_allclose(T.linear(T.Tensor(x), T.Tensor(w)).data, x @ w.T, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(T.linear(T.Tensor(x), T.Tensor(w), T.Tensor(b)).data, x @ w.T + b,
+                                   rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("x_shape,w_shape,b_shape", [
+        ((3,), (4, 3), None),      # rank-1 rows
+        ((2, 3), (4, 3, 1), None),  # rank-3 weights
+        ((2, 3), (4, 2), None),    # width mismatch
+        ((2, 3), (4, 3), (3,)),    # bias of the input width
+    ])
+    def test_shape_mismatch_raises(self, x_shape, w_shape, b_shape):
+        bias = None if b_shape is None else T.Tensor(np.zeros(b_shape))
+        with pytest.raises(ShapeError):
+            T.linear(T.Tensor(np.zeros(x_shape)), T.Tensor(np.zeros(w_shape)), bias)
+
+
 class TestReduce:
     def test_mean(self):
         assert T.reduce(T.Tensor([[1.0, 2.0], [3.0, 4.0]]), (0, 1), "mean").item() == 2.5
@@ -393,10 +432,10 @@ class TestNoGrad:
     def test_records_nothing(self):
         x = T.Tensor([1.0, 2.0], requires_grad=True)
         with T.no_grad():
-            y = T.mul(T.exp(x), x)
+            y = T.mul(T.tanh(x), x)
         assert not y.requires_grad
         assert y._vjp is None and y._parents == ()
-        np.testing.assert_array_equal(y.data, T.mul(T.exp(x), x).data)
+        np.testing.assert_array_equal(y.data, T.mul(T.tanh(x), x).data)
 
     def test_nested_and_restored(self):
         x = T.Tensor([1.0], requires_grad=True)
@@ -410,7 +449,7 @@ class TestNoGrad:
         x = T.Tensor([1.0], requires_grad=True)
         with pytest.raises(ShapeError):
             with T.no_grad():
-                T.matmul(x, x)  # rank-1 operands
+                T.linear(x, x)  # rank-1 operands
         assert T.mul(x, x).requires_grad
 
 
@@ -449,8 +488,8 @@ class TestEveryDifferentiableOp:
         ("add", lambda t, c: T.add(t, c).sum(), (3, 4)),
         ("mul", lambda t, c: T.mul(t, c).sum(), (3, 4)),
         ("div", lambda t, c: T.div(t, T.add(T.mul(c, c), 1.0)).sum(), (3, 4)),
-        ("exp", lambda t, c: T.exp(t).sum(), (3, 4)),
-        ("log", lambda t, c: T.log(T.add(T.mul(t, t), 1.5)).sum(), (3, 4)),
+        ("linear", lambda t, c: T.tanh(T.linear(t, c)).sum(), (3, 4)),
+        ("linear_weight", lambda t, c: T.tanh(T.linear(c, t)).sum(), (3, 4)),
         ("sqrt", lambda t, c: T.sqrt(T.add(T.mul(t, t), 1.0)).sum(), (3, 4)),
         ("relu", lambda t, c: T.clamp_min(t, 0.0).sum(), (3, 4)),
         ("tanh", lambda t, c: T.tanh(t).sum(), (3, 4)),
@@ -461,10 +500,10 @@ class TestEveryDifferentiableOp:
         ("mean", lambda t, c: T.mul(T.reduce(t, (0,), "mean"), T.reduce(c, (0,), "max")).sum(), (3, 4)),
         ("max", lambda t, c: T.reduce(t, (1,), "max").sum(), (3, 4)),
         ("reshape", lambda t, c: T.mul(T.reshape(t, (4, 3)), T.reshape(c, (4, 3))).sum(), (3, 4)),
-        ("moveaxis", lambda t, c: T.mul(T.moveaxis(t, 0, 1), T.moveaxis(c, 0, 1)).sum(), (3, 4)),
+        ("linear_bias", lambda t, c: T.tanh(T.linear(c, c, T.reduce(t, (1,), "sum"))).sum(), (3, 4)),
         ("narrow", lambda t, c: T.mul(T.narrow(t, 1, 1, 2), T.narrow(c, 1, 0, 2)).sum(), (3, 4)),
         ("concat", lambda t, c: T.mul(T.concat([t, c], 1), T.concat([c, t], 1)).sum(), (3, 4)),
-        ("matmul", lambda t, c: T.matmul(t, T.moveaxis(c, 0, 1)).sum(), (3, 4)),
+        ("cross_entropy", lambda t, c: T.cross_entropy(t, [2, 0, 3]), (3, 4)),
         ("einsum2", lambda t, c: T.einsum2("ab,cb->ac", t, c).sum(), (3, 4)),
         ("conv1d_same", lambda t, c: T.mul(T.conv1d_same(t, T.Tensor([0.25, -1.0, 0.5])), c).sum(), (3, 4)),
     ])
@@ -475,27 +514,37 @@ class TestEveryDifferentiableOp:
         assert T.finite_diff_check(lambda t: fn(t, const), T.Tensor(x)) < 1e-4
 
     def test_adaptive_avg_pool(self):
+        # pooling 5x7 maps to a 2x3 grid is folded into the grids, and the
+        # full K=6 set spans every pooled map
         rng = np.random.default_rng(15)
         x = rng.normal(size=(1, 2, 5, 7))
-        c = T.Tensor(rng.normal(size=(1, 2, 2, 3)))
-        fn = lambda t: T.mul(T.adaptive_avg_pool2d(t, (2, 3)), c).sum()
+        grids = T.Tensor(dct.build_basis_set(2, 3, 6).pooled(5, 7))
+        c = T.Tensor(rng.normal(size=(1, 2, 6)))
+        fn = lambda t: T.mul(T.einsum2("ncft,kft->nck", t, grids), c).sum()
         assert T.finite_diff_check(fn, T.Tensor(x)) < 1e-6
 
 
 class TestAdaptivePool:
+    """Adaptive average pooling, which the DCT context folds into its grids
+    (``dct.DctBasisSet.pooled``)."""
+
     def test_identity_when_size_matches(self):
-        x = T.Tensor(np.random.default_rng(1).normal(size=(1, 1, 3, 4)))
-        assert T.adaptive_avg_pool2d(x, (3, 4)) is x
+        np.testing.assert_array_equal(dct._pool_matrix(4, 4), np.eye(4))
+        basis_set = dct.build_basis_set(3, 4, 5)
+        np.testing.assert_array_equal(basis_set.pooled(3, 4), basis_set.stacked())
 
     def test_global_pool_is_mean(self):
-        x = np.random.default_rng(2).normal(size=(2, 3, 4, 5))
-        y = T.adaptive_avg_pool2d(T.Tensor(x), (1, 1))
-        np.testing.assert_allclose(y.data[:, :, 0, 0], x.mean(axis=(2, 3)))
+        x = np.random.default_rng(2).normal(size=(4, 5))
+        np.testing.assert_allclose(dct._pool_matrix(4, 1) @ x @ dct._pool_matrix(5, 1).T, [[x.mean()]])
+        # the (0, 0) grid is all ones, so its pooled form is a plain mean
+        np.testing.assert_allclose(dct.build_basis_set(1, 1, 1).pooled(4, 5), np.full((1, 4, 5), 1 / 20))
 
     def test_cell_means(self):
-        x = np.arange(8.0).reshape(1, 1, 2, 4)
-        y = T.adaptive_avg_pool2d(T.Tensor(x), (1, 2))
-        np.testing.assert_allclose(y.data, [[[[(0 + 1 + 4 + 5) / 4, (2 + 3 + 6 + 7) / 4]]]])
+        x = np.arange(8.0).reshape(2, 4)
+        y = dct._pool_matrix(2, 1) @ x @ dct._pool_matrix(4, 2).T
+        np.testing.assert_allclose(y, [[(0 + 1 + 4 + 5) / 4, (2 + 3 + 6 + 7) / 4]])
+        # overlapping cells when the extent does not divide: [0, 2), [1, 3)
+        np.testing.assert_allclose(dct._pool_matrix(3, 2), [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]])
 
 
 class TestFinitePolicy:
@@ -506,7 +555,7 @@ class TestFinitePolicy:
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_overflow_in_op_rejected(self):
         with pytest.raises(NumericalError):
-            T.exp(T.Tensor([1000.0]))
+            T.mul(T.Tensor([1e300]), 1e300)
 
 
 class TestDumpFormat:
