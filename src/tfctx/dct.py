@@ -60,12 +60,11 @@ class DctBasisSet:
 
     def pooled(self, f: int, t: int) -> np.ndarray:
         """(K, f, t) grids whose projection of an f x t map equals the
-        projection of that map average-pooled to F x T. On the grid itself
-        the pool matrices are identities, so this is ``stacked()`` exactly.
-        Computed once per set and (f, t); the cached array is read-only."""
+        projection of that map average-pooled to F x T; exactly ``stacked()``
+        on the grid, where the pool matrices are identities. Built once per
+        set and (f, t), C-contiguous and read-only."""
         key = (self, f, t)
         if key not in _POOLED_CACHE:
-            # C order: the map gradient einsum2 computes from it inherits its layout
             grids = np.ascontiguousarray(np.einsum("kab,af,bt->kft", self.stacked(), _pool_matrix(f, self.big_f),
                                                    _pool_matrix(t, self.big_t), optimize=True))
             grids.setflags(write=False)
