@@ -30,24 +30,23 @@ INSERTION_POSITIONS = ("after_bn", "before_bn", "before_conv", "none")
 
 
 class Conv2dLayer:
+    """Bias-free square-kernel conv; the batch norm after it supplies the
+    shift."""
+
     def __init__(self, cin: int, cout: int, kernel: int = 3, stride=(1, 1),
-                 padding=(1, 1), bias: bool = False, rng: np.random.Generator | None = None):
+                 padding=(1, 1), rng: np.random.Generator | None = None):
         rng = rng if rng is not None else np.random.default_rng(0)
         fan_in = cin * kernel * kernel
         self.stride = tuple(stride)
         self.padding = tuple(padding)
         self.weight = Tensor(rng.normal(0.0, math.sqrt(2.0 / fan_in), (cout, cin, kernel, kernel)),
                              requires_grad=True)
-        self.bias = Tensor(np.zeros(cout), requires_grad=True) if bias else None
 
     def named_parameters(self, prefix):
-        out = [(f"{prefix}.weight", self.weight)]
-        if self.bias is not None:
-            out.append((f"{prefix}.bias", self.bias))
-        return out
+        return [(f"{prefix}.weight", self.weight)]
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.conv2d(x, self.weight, self.bias, self.stride, self.padding)
+        return T.conv2d(x, self.weight, self.stride, self.padding)
 
 
 class BatchNormLayer:
@@ -63,10 +62,6 @@ class BatchNormLayer:
     def named_state(self, prefix):
         return [(f"{prefix}.running_mean", self.running.mean),
                 (f"{prefix}.running_var", self.running.var)]
-
-    def load_state(self, prefix, arrays):
-        self.running.mean = arrays[f"{prefix}.running_mean"].copy()
-        self.running.var = arrays[f"{prefix}.running_var"].copy()
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
         return T.batch_norm2d(x, self.gamma, self.beta, self.eps, training, self.running)
@@ -114,12 +109,6 @@ class ResidualBlock:
         if self.proj_bn is not None:
             out += self.proj_bn.named_state(f"{prefix}.proj_bn")
         return out
-
-    def load_state(self, prefix, arrays):
-        self.bn1.load_state(f"{prefix}.bn1", arrays)
-        self.bn2.load_state(f"{prefix}.bn2", arrays)
-        if self.proj_bn is not None:
-            self.proj_bn.load_state(f"{prefix}.proj_bn", arrays)
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
         branch = x
@@ -227,20 +216,20 @@ class Embedder:
         return out
 
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        """Overwrite parameters and batch-norm state from a checkpoint dict."""
-        expected = {name for name, _ in self.named_parameters()} | {name for name, _ in self.named_state()}
+        """Copy parameters and batch-norm state from a checkpoint dict into
+        the live arrays. Every entry is checked for its name and shape
+        before any is copied, so a mismatch leaves the model as it was."""
+        live = [(name, p.data) for name, p in self.named_parameters()] + self.named_state()
+        expected = {name for name, _ in live}
         if expected != set(arrays):
             missing = expected - set(arrays)
             extra = set(arrays) - expected
             raise DataError(f"checkpoint does not match model: missing={sorted(missing)[:4]} extra={sorted(extra)[:4]}")
-        for name, param in self.named_parameters():
-            if param.data.shape != arrays[name].shape:
-                raise DataError(f"checkpoint entry {name} has shape {arrays[name].shape}, expected {param.data.shape}")
-            param.data = arrays[name].copy()
-        self.stem_bn.load_state("stem_bn", arrays)
-        for si, stage in enumerate(self.stages):
-            for bi, block in enumerate(stage):
-                block.load_state(f"stage{si}.block{bi}", arrays)
+        for name, target in live:
+            if arrays[name].shape != target.shape:
+                raise DataError(f"checkpoint entry {name} has shape {arrays[name].shape}, expected {target.shape}")
+        for name, target in live:
+            target[...] = arrays[name]
 
     def forward(self, x: Tensor, training: bool = False) -> Tensor:
         """(N, 1, F, T) feature maps -> pre-normalization embeddings (N, E)."""

@@ -20,8 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import _contract
-
 
 @dataclass(frozen=True)
 class DctBasis:
@@ -62,37 +60,19 @@ class DctBasisSet:
 
     def pooled(self, f: int, t: int) -> np.ndarray:
         """(K, f, t) grids whose projection of an f x t map equals the
-        projection of that map average-pooled to F x T; exactly ``stacked()``
-        on the grid, where the pool matrices are identities. Built once per
-        set and (f, t), C-contiguous and read-only."""
+        projection of that map average-pooled to F x T: each grid pulled
+        back through the two pool matrices, ``P_f.T @ grid @ P_t``. Exactly
+        ``stacked()`` on the grid, where the pool matrices are identities.
+        Built once per set and (f, t), C-contiguous and read-only."""
         key = (self, f, t)
         if key not in _POOLED_CACHE:
-            grids = np.ascontiguousarray(_pool_grids(self.stacked(), f, t))
+            grids = _pool_matrix(f, self.big_f).T @ self.stacked() @ _pool_matrix(t, self.big_t)
             grids.setflags(write=False)
             _POOLED_CACHE[key] = grids
         return _POOLED_CACHE[key]
 
 
 _POOLED_CACHE: dict[tuple[DctBasisSet, int, int], np.ndarray] = {}
-
-
-def _pool_grids(stacked: np.ndarray, f: int, t: int) -> np.ndarray:
-    """``einsum("kab,af,bt->kft", stacked, P_f, P_t)`` as two contractions
-    taken the way numpy's greedy path takes them: pool first along the axis
-    that removes more elements (then the one with fewer flops), never
-    through an intermediate larger than the largest operand or the output,
-    with the intermediate's axes sorted by (extent, label). The grids thus
-    keep the rounding of numpy 2.4's path-optimizing three-operand einsum."""
-    k, big_f, big_t = stacked.shape
-    pool_f, pool_t = _pool_matrix(f, big_f), _pool_matrix(t, big_t)
-    extent = dict(k=k, a=big_f, b=big_t, f=f, t=t)
-    via_f, via_t = k * big_t * f, k * big_f * t  # intermediate sizes
-    limit = max(stacked.size, pool_f.size, pool_t.size, k * f * t)
-    f_first = via_t > limit or (via_f <= limit and (pool_f.size - via_f, -f) >= (pool_t.size - via_t, -t))
-    mid = "".join(sorted("kbf" if f_first else "kat", key=lambda i: (extent[i], i)))
-    if f_first:
-        return _contract(f"bt,{mid}->kft", pool_t, _contract(f"kab,af->{mid}", stacked, pool_f))
-    return _contract(f"af,{mid}->kft", pool_f, _contract(f"kab,bt->{mid}", stacked, pool_t))
 
 
 def _pool_matrix(n_in: int, n_out: int) -> np.ndarray:

@@ -215,8 +215,9 @@ def synth_utterance(spec: SyntheticSpeakerSpec, utt_index: int, seed: int,
                     duration_s: float, sample_rate: int = 16000,
                     max_harmonic_hz: float = 4200.0) -> np.ndarray:
     """Harmonic source with vibrato and slow amplitude modulation, filtered
-    by the speaker's resonance envelope, plus noise. Deterministic in
-    (seed, speaker, utterance)."""
+    by the speaker's resonance envelope, plus noise. Harmonics stop at
+    ``max_harmonic_hz`` and below Nyquist at the vibrato's peak, so none
+    aliases. Deterministic in (seed, speaker, utterance)."""
     rng = np.random.default_rng([seed, int(spec.speaker_id[3:]), utt_index])
     n = int(round(duration_s * sample_rate))
     t = np.arange(n) / sample_rate
@@ -224,10 +225,12 @@ def synth_utterance(spec: SyntheticSpeakerSpec, utt_index: int, seed: int,
     f0 = rng.uniform(spec.pitch_lo, spec.pitch_hi)
     vib_rate = rng.uniform(4.0, 6.0)
     vib_phase = rng.uniform(0.0, 2 * math.pi)
-    inst_freq = f0 * (1.0 + 0.01 * np.sin(2 * math.pi * vib_rate * t + vib_phase))
+    vib_depth = 0.01
+    inst_freq = f0 * (1.0 + vib_depth * np.sin(2 * math.pi * vib_rate * t + vib_phase))
     phase = 2 * math.pi * np.cumsum(inst_freq) / sample_rate
 
-    n_harm = max(1, int(max_harmonic_hz / f0))
+    top_hz = min(max_harmonic_hz, sample_rate / 2 / (1.0 + vib_depth))
+    n_harm = max(1, int(top_hz / f0))
     h = np.arange(1, n_harm + 1)
     amps = spec.envelope(h * f0) / np.sqrt(h)
     phases = rng.uniform(0.0, 2 * math.pi, n_harm)

@@ -16,10 +16,10 @@ finite-difference checkers run.
 
 Every contraction, ``einsum2`` and its two VJPs as well as the three
 inside ``conv2d``, takes one route: ``_contract``, a batched matmul over a
-permutation plan cached per spec. Its results equal those of numpy 2.4's
-path-optimizing ``einsum`` bit for bit, without the path search that
-einsum runs on every call, which dominated the cost of the small ops the
-finite-difference checks run by the hundred thousand.
+permutation plan cached per spec. Its values equal ``np.einsum``'s to
+rounding (the sign of a zero may differ), without the path search that a
+path-optimizing einsum runs on every call, which dominated the cost of the
+small ops the finite-difference checks run by the hundred thousand.
 
 Stored values are required to be finite. A NaN or Inf anywhere raises
 ``NumericalError`` at the op that produced it instead of propagating
@@ -37,8 +37,6 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import NumericalError, ShapeError
-
-DEFAULT_DTYPE = np.float64
 
 # cleared inside no_grad(): ops then record no closure and no parents
 _recording = True
@@ -59,13 +57,6 @@ def no_grad():
         _recording = previous
 
 
-def _as_array(data, dtype=None) -> np.ndarray:
-    arr = np.asarray(data, dtype=dtype if dtype is not None else DEFAULT_DTYPE)
-    if not np.issubdtype(arr.dtype, np.floating):
-        arr = arr.astype(DEFAULT_DTYPE)
-    return arr
-
-
 def _all_finite(a: np.ndarray) -> bool:
     """Exact, and one pass with no temporary in the common case: a sum is
     finite only if every term is, and a sum of finite terms that overflows
@@ -77,15 +68,15 @@ def _all_finite(a: np.ndarray) -> bool:
 class Tensor:
     """N-dimensional real array, optionally recording ops for backward().
 
-    ``data`` is a row-major numpy array (float64 unless built otherwise),
-    ``grad`` is populated with an identically shaped array after backward.
+    ``data`` is a float64 numpy array, ``grad`` is populated with an
+    identically shaped array after backward.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_backward_done",
                  "__weakref__")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        self.data = _as_array(data, dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        self.data = np.asarray(data, dtype=np.float64)
         if not _all_finite(self.data):
             raise NumericalError("tensor holds non-finite values")
         self.grad: np.ndarray | None = None
@@ -193,41 +184,13 @@ class Tensor:
             node._parents = ()
             node._backward_done = True
 
-    # -- operator sugar -----------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0) if isinstance(other, Tensor) else -other)
-
-    def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
-
-    def __truediv__(self, other):
-        return div(self, other)
+    # -- method sugar -------------------------------------------------------
 
     def sum(self, axes=None, keepdims=False):
         return reduce(self, axes, "sum", keepdims)
 
-    def mean(self, axes=None, keepdims=False):
-        return reduce(self, axes, "mean", keepdims)
-
-    def max(self, axes=None, keepdims=False):
-        return reduce(self, axes, "max", keepdims)
-
-    def reshape(self, *shape):
-        return reshape(self, shape[0] if len(shape) == 1 and isinstance(shape[0], (tuple, list)) else shape)
+    def reshape(self, shape):
+        return reshape(self, shape)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -350,8 +313,9 @@ def _normalize_axes(axes, ndim: int) -> tuple[int, ...]:
 
 
 def reduce(x: Tensor, axes, kind: str, keepdims: bool = False) -> Tensor:
-    """sum / mean / max over ``axes``. Max ties route gradient to the lowest
-    flat index of the reduced slice, so backward is deterministic."""
+    """sum / mean over ``axes``, max over exactly one axis. Max ties route
+    gradient to the first index along the axis, so backward is
+    deterministic."""
     axes = _normalize_axes(axes, x.ndim)
     if kind == "sum":
         y = x.data.sum(axis=axes, keepdims=keepdims)
@@ -369,22 +333,16 @@ def reduce(x: Tensor, axes, kind: str, keepdims: bool = False) -> Tensor:
             x._accumulate(np.broadcast_to(gg / count, x.shape).copy())
 
     elif kind == "max":
-        y = x.data.max(axis=axes, keepdims=keepdims)
-        end = tuple(range(x.ndim - len(axes), x.ndim))
-        moved = np.moveaxis(x.data, axes, end)
-        outer_shape = moved.shape[: x.ndim - len(axes)]
-        inner = int(np.prod(moved.shape[x.ndim - len(axes):]))
-        # argmax of the C-ordered reduced slice == lowest flat index among ties
-        argmax = moved.reshape(outer_shape + (inner,)).argmax(axis=-1)
+        if len(axes) != 1:
+            raise ShapeError(f"max reduces over exactly one axis, got {axes}")
+        (axis,) = axes
+        y = x.data.max(axis=axis, keepdims=keepdims)
+        first = np.expand_dims(x.data.argmax(axis=axis), axis)  # argmax takes the first tie
 
         def vjp(g):
-            gg = g if keepdims else np.expand_dims(g, axes)
-            gg = np.broadcast_to(gg, x.shape)
-            src = np.ascontiguousarray(np.moveaxis(gg, axes, end)).reshape(outer_shape + (inner,))
-            gm = np.zeros(outer_shape + (inner,))
-            np.put_along_axis(gm, argmax[..., None],
-                              np.take_along_axis(src, argmax[..., None], axis=-1), axis=-1)
-            x._accumulate(np.moveaxis(gm.reshape(moved.shape), end, axes))
+            gx = np.zeros(x.shape)
+            np.put_along_axis(gx, first, g if keepdims else np.expand_dims(g, axis), axis)
+            x._accumulate(gx)
 
     else:
         raise ValueError(f"unknown reduce kind {kind!r}")
@@ -504,10 +462,9 @@ def linear(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
 def _contraction_plan(spec: str):
     """Axis permutations that evaluate the two-operand ``spec`` as one
     batched matmul, built once per spec. The right operand goes on the left
-    of the matmul, the order numpy's path-optimizing ``einsum`` contracts
-    two operands in. It also puts the conv weight first: the toy net's
-    stage-0 conv forward at batch 40 took 40 ms that way, 78 ms with the
-    patches first (1 BLAS thread)."""
+    of the matmul, which puts the conv weight first: the toy net's stage-0
+    conv forward at batch 40 took 40 ms that way, 78 ms with the patches
+    first (1 BLAS thread)."""
     ins, out = spec.split("->")
     right, left = ins.split(",")
     batch = [i for i in left if i in right and i in out]
@@ -529,12 +486,12 @@ def _contraction_plan(spec: str):
 
 
 def _contract(spec: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Two-operand ``np.einsum(spec, a, b)`` (no repeated indices) equal bit
-    for bit, output strides included, to numpy 2.4's path-optimizing einsum,
-    without its per-call path search: transpose both operands to (batch,
-    kept, summed), fuse each group, one ``(B, M, K) @ (B, K, N)`` matmul,
-    then unfuse and transpose to the output. When every summed extent is 1
-    it is the broadcast product instead, as in numpy."""
+    """Two-operand ``np.einsum(spec, a, b)`` (no repeated indices), equal to
+    it to rounding, without a per-call path search: transpose both operands
+    to (batch, kept, summed), fuse each group, one ``(B, M, K) @ (B, K, N)``
+    matmul, then unfuse and transpose to the output. When every summed
+    extent is 1 it is the broadcast product instead, which may keep a -0.0
+    that einsum turns into 0.0."""
     (perm_l, perm_r, nb, nk, ns, perm_out,
      outer_l, outer_r, spread_l, spread_r) = _contraction_plan(spec)
     left, right = b.transpose(perm_l), a.transpose(perm_r)
@@ -544,9 +501,6 @@ def _contract(spec: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         left, right = b.transpose(outer_l), a.transpose(outer_r)
         left = left.reshape([left.shape[j] if j >= 0 else 1 for j in spread_l])
         right = right.reshape([right.shape[j] if j >= 0 else 1 for j in spread_r])
-        if ns:
-            # numpy sums the extent-1 axes away first, which turns -0.0 into 0.0
-            left, right = left + 0.0, right + 0.0
         return left * right
     kept_r = right.shape[nb + ns:]
     batch = math.prod(kept_l[:nb])
@@ -584,18 +538,17 @@ def einsum2(spec: str, a: Tensor, b: Tensor) -> Tensor:
 
 # -- structured ops -----------------------------------------------------------
 
-def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
-           stride=(1, 1), padding=(0, 0)) -> Tensor:
-    """2D cross-correlation of NCHW input with OIHW weights.
+def conv2d(x: Tensor, weight: Tensor, stride: tuple[int, int], padding: tuple[int, int]) -> Tensor:
+    """2D cross-correlation of NCHW input with OIHW weights, no bias.
 
-    Output extents follow floor((n + 2*pad - k)/stride) + 1. One route for
-    every shape (patch matrices, Chellapilla et al. 2006): the output and
-    the weight gradient contract one read-only strided view of the padded
-    input's (kf, kt) windows, built by ``as_strided`` from the input's own
-    strides, so any layout works and no window is copied; the input
-    gradient is one contraction into per-window gradients, added back one
-    kernel tap at a time (col2im). All three contractions are
-    ``_contract``.
+    ``stride`` and ``padding`` are (frequency, time) pairs; output extents
+    follow floor((n + 2*pad - k)/stride) + 1. One route for every shape
+    (patch matrices, Chellapilla et al. 2006): the output and the weight
+    gradient contract one read-only strided view of the padded input's
+    (kf, kt) windows, built by ``as_strided`` from the input's own strides,
+    so any layout works and no window is copied; the input gradient is one
+    contraction into per-window gradients, added back one kernel tap at a
+    time (col2im). All three contractions are ``_contract``.
     """
     if x.ndim != 4 or weight.ndim != 4:
         raise ShapeError(f"conv2d expects rank-4 input and weight, got {x.shape} and {weight.shape}")
@@ -603,29 +556,23 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     cout, cin_w, kf, kt = weight.shape
     if cin != cin_w:
         raise ShapeError(f"conv2d channel mismatch: input has {cin}, weight expects {cin_w}")
-    sf, st = (stride, stride) if isinstance(stride, int) else tuple(stride)
-    pf, pt = (padding, padding) if isinstance(padding, int) else tuple(padding)
+    sf, st = stride
+    pf, pt = padding
     if kf > f + 2 * pf or kt > t + 2 * pt:
         raise ShapeError(f"kernel ({kf},{kt}) larger than padded input ({f + 2 * pf},{t + 2 * pt})")
-    if bias is not None and bias.shape != (cout,):
-        raise ShapeError(f"bias shape {bias.shape} does not match {cout} output channels")
 
     fo = (f + 2 * pf - kf) // sf + 1
     to = (t + 2 * pt - kt) // st + 1
     xp = x.data
     if pf or pt:
-        xp = np.zeros((n, cin, f + 2 * pf, t + 2 * pt), dtype=x.data.dtype)
+        xp = np.zeros((n, cin, f + 2 * pf, t + 2 * pt))
         xp[:, :, pf: pf + f, pt: pt + t] = x.data
     s_n, s_c, s_f, s_t = xp.strides
     patches = np.lib.stride_tricks.as_strided(
         xp, (n, cin, fo, to, kf, kt), (s_n, s_c, s_f * sf, s_t * st, s_f, s_t), writeable=False)
     out = _contract("ncftab,kcab->nkft", patches, weight.data)
-    if bias is not None:
-        out += bias.data[None, :, None, None]
 
     def vjp(g):
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(g.sum(axis=(0, 2, 3)))
         if weight.requires_grad:
             weight._accumulate(_contract("nkft,ncftab->kcab", g, patches))
         if x.requires_grad:
@@ -636,7 +583,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
                     dxp[:, :, a: a + (fo - 1) * sf + 1: sf, b: b + (to - 1) * st + 1: st] += gpatches[..., a, b]
             x._accumulate(dxp[:, :, pf: pf + f, pt: pt + t])
 
-    return Tensor._from_op(out, (x, weight) if bias is None else (x, weight, bias), vjp)
+    return Tensor._from_op(out, (x, weight), vjp)
 
 
 def conv1d_same(x: Tensor, kernel: Tensor) -> Tensor:

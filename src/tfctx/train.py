@@ -281,7 +281,7 @@ def synth_corpus(cfg: RunConfig, quiet: bool = False) -> None:
     d = cfg.data
     train, heldout = features.synth_dataset(
         d.data_dir, d.num_speakers, d.utts_per_speaker, d.duration_s,
-        cfg.seed, d.eval_utts_per_speaker)
+        cfg.seed, d.eval_utts_per_speaker, cfg.features.sample_rate)
     features.write_manifest(os.path.join(d.data_dir, TRAIN_MANIFEST), train)
     features.write_manifest(os.path.join(d.data_dir, EVAL_MANIFEST), heldout)
 

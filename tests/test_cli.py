@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from tfctx import backbone, cli, config, dct, metrics, train
+from tfctx import backbone, cli, config, dct, features, metrics, train
 from tfctx import tensor as T
 from tfctx.errors import ConfigError, DataError
 
@@ -105,6 +105,16 @@ class TestSynthData:
         trials = metrics.read_trials(os.path.join(doc["data"]["data_dir"], "trials.txt"))
         assert set(trials.labels.tolist()) == {0, 1}
 
+    def test_corpus_at_config_sample_rate_trains(self, tmp_path):
+        path, doc = micro_config(tmp_path)
+        doc["features"]["sample_rate"] = 8000
+        with open(path, "w") as f:
+            json.dump(doc, f)
+        assert cli.main(["synth-data", "--config", path]) == 0
+        wav = features.read_wav(os.path.join(doc["data"]["data_dir"], "wav", "spk000", "utt0000.wav"))
+        assert wav.sample_rate == 8000
+        assert cli.main(["train", "--config", path]) == 0
+
 
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
@@ -196,6 +206,24 @@ class TestTrainEval:
         assert code == cli.EXIT_DATA
         assert dropped in capsys.readouterr().err
 
+    # (1,) would broadcast over the two channels and load silently
+    @pytest.mark.parametrize("shape", [(1,), (), (3,)], ids=["one", "scalar", "three"])
+    def test_checkpoint_state_shape_is_data_error(self, trained, tmp_path, capsys, shape):
+        path, doc = trained
+        name = "stage0.block0.bn1.running_mean"
+        ckpt_doc, arrays = backbone.load_checkpoint(os.path.join(doc["out_dir"], "checkpoint.ckpt"))
+        assert arrays[name].shape == (2,)
+        arrays[name] = np.full(shape, 0.5)
+        broken = str(tmp_path / "reshaped.ckpt")
+        backbone.save_checkpoint(broken, arrays.items(), ckpt_doc)
+        with pytest.raises(DataError, match=name):
+            train.load_embedder(broken)
+        trials = os.path.join(doc["data"]["data_dir"], "trials.txt")
+        code = cli.main(["eval", "--config", path, "--checkpoint", broken,
+                         "--trials", trials, "--out", str(tmp_path / "reshaped_eval")])
+        assert code == cli.EXIT_DATA
+        assert name in capsys.readouterr().err
+
     @pytest.mark.parametrize("field,value", [("extent", 2**33), ("rank", 2**40),
                                              ("extent", 2**64 - 1)])
     def test_huge_tensor_header_exit_code(self, trained, tmp_path, capsys, field, value):
@@ -254,6 +282,13 @@ class TestShippedConfigs:
         assert cfg.model.stage_channels == [32, 64, 128, 256]
         assert cfg.model.block.reduction == 16
         assert cfg.model.block.dct_grid == [8, 25]
+
+    def test_toy_is_the_dct_gcm_toy_preset(self):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        cfg = config.load(os.path.join(root, "configs", "toy.json"))
+        want = config.toy_preset("dct_gcm")
+        want.seed, want.out_dir = cfg.seed, cfg.out_dir
+        assert config.to_dict(cfg) == config.to_dict(want)
 
 
 class TestFullScaleConfig:

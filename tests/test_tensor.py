@@ -12,7 +12,7 @@ from tfctx import tensor as T
 from tfctx.errors import NumericalError, ShapeError
 
 
-def conv2d_loops(x, w, b, stride, padding):
+def conv2d_loops(x, w, stride, padding):
     """Nested-loop direct convolution oracle."""
     n, cin, f, t = x.shape
     cout, _, kf, kt = w.shape
@@ -31,7 +31,7 @@ def conv2d_loops(x, w, b, stride, padding):
                         for a in range(kf):
                             for bb in range(kt):
                                 acc += xp[ni, ci, fi * sf + a, ti * st_ + bb] * w[ko, ci, a, bb]
-                    out[ni, ko, fi, ti] = acc + b[ko]
+                    out[ni, ko, fi, ti] = acc
     return out
 
 
@@ -39,8 +39,7 @@ class TestConv2d:
     def test_scalar_kernel_scales(self):
         x = T.Tensor([[[[1.0, 2.0], [3.0, 4.0]]]])
         w = T.Tensor([[[[2.0]]]])
-        b = T.Tensor([0.0])
-        y = T.conv2d(x, w, b)
+        y = T.conv2d(x, w, (1, 1), (0, 0))
         np.testing.assert_allclose(y.data, [[[[2, 4], [6, 8]]]])
 
     def test_identity_impulse(self):
@@ -48,16 +47,15 @@ class TestConv2d:
         x = T.Tensor(rng.normal(size=(1, 1, 4, 5)))
         w = np.zeros((1, 1, 3, 3))
         w[0, 0, 1, 1] = 1.0
-        y = T.conv2d(x, T.Tensor(w), T.Tensor([0.0]), padding=(1, 1))
+        y = T.conv2d(x, T.Tensor(w), (1, 1), (1, 1))
         np.testing.assert_allclose(y.data, x.data)
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(2, 3, 5, 7))
         w = rng.normal(size=(4, 3, 3, 3))
-        b = rng.normal(size=4)
-        got = T.conv2d(T.Tensor(x), T.Tensor(w), T.Tensor(b), stride=(1, 1), padding=(0, 0))
-        want = conv2d_loops(x, w, b, (1, 1), (0, 0))
+        got = T.conv2d(T.Tensor(x), T.Tensor(w), (1, 1), (0, 0))
+        want = conv2d_loops(x, w, (1, 1), (0, 0))
         np.testing.assert_allclose(got.data, want, atol=1e-12)
 
     # (x shape, w shape, stride, padding): narrow convs, then wide ones
@@ -79,23 +77,22 @@ class TestConv2d:
         rng = np.random.default_rng(11)
         x = rng.normal(size=x_shape)
         w = rng.normal(size=w_shape)
-        b = rng.normal(size=w_shape[0])
-        got = T.conv2d(T.Tensor(x), T.Tensor(w), T.Tensor(b), stride=stride, padding=padding)
-        np.testing.assert_allclose(got.data, conv2d_loops(x, w, b, stride, padding), atol=1e-12)
+        got = T.conv2d(T.Tensor(x), T.Tensor(w), stride, padding)
+        np.testing.assert_allclose(got.data, conv2d_loops(x, w, stride, padding), atol=1e-12)
 
     def test_output_extent_formula(self):
         x = T.Tensor(np.zeros((1, 1, 10, 9)))
         w = T.Tensor(np.zeros((2, 1, 3, 3)))
-        y = T.conv2d(x, w, None, stride=(2, 2), padding=(1, 1))
+        y = T.conv2d(x, w, (2, 2), (1, 1))
         assert y.shape == (1, 2, (10 + 2 - 3) // 2 + 1, (9 + 2 - 3) // 2 + 1)
 
     def test_channel_mismatch_raises(self):
         with pytest.raises(ShapeError, match="channel"):
-            T.conv2d(T.Tensor(np.zeros((1, 2, 4, 4))), T.Tensor(np.zeros((1, 3, 3, 3))), None)
+            T.conv2d(T.Tensor(np.zeros((1, 2, 4, 4))), T.Tensor(np.zeros((1, 3, 3, 3))), (1, 1), (0, 0))
 
     def test_kernel_too_large_raises(self):
         with pytest.raises(ShapeError, match="kernel"):
-            T.conv2d(T.Tensor(np.zeros((1, 1, 2, 2))), T.Tensor(np.zeros((1, 1, 5, 5))), None)
+            T.conv2d(T.Tensor(np.zeros((1, 1, 2, 2))), T.Tensor(np.zeros((1, 1, 5, 5))), (1, 1), (0, 0))
 
     def test_gradients(self):
         cases = [((2, 2, 4, 5), (3, 2, 3, 3), (1, 2), (1, 1))]
@@ -104,17 +101,16 @@ class TestConv2d:
             rng = np.random.default_rng(3)
             x = rng.normal(size=x_shape)
             w = rng.normal(size=w_shape)
-            b = rng.normal(size=w_shape[0])
 
             def loss_wrt(which):
                 def fn(t):
-                    args = {"x": T.Tensor(x), "w": T.Tensor(w), "b": T.Tensor(b)}
+                    args = {"x": T.Tensor(x), "w": T.Tensor(w)}
                     args[which] = t
-                    y = T.conv2d(args["x"], args["w"], args["b"], stride=stride, padding=padding)
+                    y = T.conv2d(args["x"], args["w"], stride, padding)
                     return T.reduce(T.mul(y, y), None, "sum")
                 return fn
 
-            for which, init in (("x", x), ("w", w), ("b", b)):
+            for which, init in (("x", x), ("w", w)):
                 err = T.finite_diff_check(loss_wrt(which), T.Tensor(init))
                 assert err < 1e-6, (x_shape, w_shape, stride, padding, which, err)
 
@@ -129,16 +125,15 @@ class TestConv2d:
             x = rng.normal(size=(2, 3, 13, 8))[:, :, ::2, 1:]
         assert not x.flags.c_contiguous
         w = rng.normal(size=(4, 3, 3, 3))
-        b = rng.normal(size=4)
-        got = T.conv2d(T.Tensor(x), T.Tensor(w), T.Tensor(b), stride=(2, 2), padding=(0, 0))
-        np.testing.assert_allclose(got.data, conv2d_loops(x, w, b, (2, 2), (0, 0)), atol=1e-12)
+        got = T.conv2d(T.Tensor(x), T.Tensor(w), (2, 2), (0, 0))
+        np.testing.assert_allclose(got.data, conv2d_loops(x, w, (2, 2), (0, 0)), atol=1e-12)
 
         w_in = rng.normal(size=(3, 3, 1, 1))
 
         def fn(t):
-            inner = T.conv2d(t, T.Tensor(w_in), None)
+            inner = T.conv2d(t, T.Tensor(w_in), (1, 1), (0, 0))
             assert not inner.data.flags.c_contiguous
-            y = T.conv2d(inner, T.Tensor(w), T.Tensor(b), stride=(2, 2), padding=(0, 0))
+            y = T.conv2d(inner, T.Tensor(w), (2, 2), (0, 0))
             return T.reduce(T.mul(y, y), None, "sum")
 
         assert T.finite_diff_check(fn, T.Tensor(np.ascontiguousarray(x))) < 1e-6
@@ -367,15 +362,9 @@ class TestReduce:
         T.reduce(x, (0,), "max").backward()
         np.testing.assert_allclose(x.grad, [1.0, 0.0, 0.0])
 
-    def test_max_tie_rule_multi_axis(self):
-        data = np.zeros((2, 2, 3))
-        data[1] = 5.0  # ties across the slice being reduced
-        x = T.Tensor(data, requires_grad=True)
-        T.reduce(x, (1, 2), "max").sum().backward()
-        want = np.zeros((2, 2, 3))
-        want[0, 0, 0] = 1.0
-        want[1, 0, 0] = 1.0
-        np.testing.assert_allclose(x.grad, want)
+    def test_max_over_two_axes_rejected(self):
+        with pytest.raises(ShapeError, match="one axis"):
+            T.reduce(T.Tensor(np.zeros((2, 2, 3))), (1, 2), "max")
 
     def test_sum_gradient_is_ones(self):
         x = T.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
@@ -506,7 +495,8 @@ class TestFiniteDiff:
         assert T.finite_diff_check(broken_square_sum, T.Tensor([1.0, 2.0])) > 1e-4
 
 
-# every spec the program contracts: the blocks, conv2d and the DCT pooling
+# every spec the blocks and conv2d contract, then four more layouts: the
+# two-step pooling of a (K, F, T) grid stack
 CONTRACT_SPECS = [
     "hc,ncft->nhft", "h,nhft->nft", "nft,ncft->nc", "ncft,kft->nck",
     "ngd,dc->ngc", "ngd,gdc->ngc", "ngc,ngcft->ngft",
@@ -657,8 +647,26 @@ class TestAdaptivePool:
         # overlapping cells when the extent does not divide: [0, 2), [1, 3)
         np.testing.assert_allclose(dct._pool_matrix(3, 2), [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]])
 
+    # the maps the toy backbone hands its 4x13 DCT grids: stem output (a
+    # block before the first conv sees it), then stages 0 to 3
+    @pytest.mark.parametrize("f,t", [(32, 100), (16, 50), (8, 25), (4, 13)])
+    def test_pooled_is_the_plain_product_at_toy_stage_shapes(self, f, t):
+        basis_set = dct.build_basis_set(4, 13, 2)
+        grids = basis_set.pooled(f, t)
+        want = dct._pool_matrix(f, 4).T @ basis_set.stacked() @ dct._pool_matrix(t, 13)
+        np.testing.assert_array_equal(grids, want)
+        assert grids.flags.c_contiguous and not grids.flags.writeable
+        assert basis_set.pooled(f, t) is grids
+
 
 class TestFinitePolicy:
+    @pytest.mark.parametrize("data", [[1, 2], [True, False], np.arange(3, dtype=np.int8)],
+                             ids=["ints", "bools", "int8"])
+    def test_stored_as_float64(self, data):
+        x = T.Tensor(data)
+        assert x.data.dtype == np.float64
+        np.testing.assert_array_equal(x.data, np.asarray(data, dtype=np.float64))
+
     def test_nan_input_rejected(self):
         with pytest.raises(NumericalError):
             T.Tensor([1.0, float("nan")])
