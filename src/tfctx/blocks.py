@@ -224,9 +224,9 @@ def tfe_enhance(feature_map: Tensor, context: Tensor, params: TfeParams) -> Tens
 
     Per group: the context slice is L2-normalized (guarded against zero
     groups), scored against every local feature vector through the mixing
-    matrix, standardized over the grid (eps guards the deviation, never a
-    bare division), then affinely mapped and squashed into a sigmoid gate
-    on the group's features. The mixing matrix is applied to the context,
+    matrix, standardized over the grid by one ``standardize_over`` op (eps
+    guards the deviation, never a bare division), then affinely mapped and
+    squashed into a sigmoid gate on the group's features. The mixing matrix is applied to the context,
     not the map: <u, W x> = <W^T u, x>, so the score of each position is
     one dot product of its features with a per-group query W^T u.
     """
@@ -247,11 +247,7 @@ def tfe_enhance(feature_map: Tensor, context: Tensor, params: TfeParams) -> Tens
     query = T.einsum2(spec, unit_ctx, params.mix)
     scores = T.einsum2("ngc,ngcft->ngft", query, grouped)
 
-    mu = T.reduce(scores, (2, 3), "mean", keepdims=True)
-    centered = T.add(scores, T.mul(mu, -1.0))
-    var = T.reduce(T.mul(centered, centered), (2, 3), "mean", keepdims=True)
-    std = T.sqrt(T.add(var, _VAR_GUARD))
-    standardized = T.div(centered, T.add(std, params.eps))
+    standardized = T.standardize_over(scores, (2, 3), _VAR_GUARD, params.eps)
 
     s = T.add(T.mul(standardized, T.reshape(params.scale, (1, g, 1, 1))),
               T.reshape(params.shift, (1, g, 1, 1)))

@@ -22,8 +22,17 @@ path-optimizing einsum runs on every call, which dominated the cost of the
 small ops the finite-difference checks run by the hundred thousand.
 
 Stored values are required to be finite. A NaN or Inf anywhere raises
-``NumericalError`` at the op that produced it instead of propagating
-silently; the check is one sum in the common case (``_all_finite``).
+``NumericalError`` at the first op that produced it instead of propagating
+silently. The check (``_all_finite``, one sum in the common case) runs on
+every ``Tensor(...)`` and on the output of every op that can turn finite
+inputs into a non-finite value: ``add``, ``mul``, ``div``, ``sqrt``, the
+sum and mean reductions, the contractions, ``conv2d``, ``conv1d_same``,
+``batch_norm2d``, ``cross_entropy`` and ``standardize_over``. The ops whose
+output is finite whenever their inputs are skip it: ``reshape``,
+``narrow``, ``concat``, ``clamp_min`` with a finite floor, ``tanh``,
+``sigmoid``, ``softmax_over`` and the max reduction. A constant operand of
+``add`` or ``mul`` is not checked on its own either: a non-finite one
+makes the op's output non-finite.
 """
 
 from __future__ import annotations
@@ -62,7 +71,7 @@ def _all_finite(a: np.ndarray) -> bool:
     finite only if every term is, and a sum of finite terms that overflows
     falls back to the elementwise test. The sum may raise numpy's overflow
     or invalid-value warning on the way."""
-    return math.isfinite(a.sum()) or bool(np.isfinite(a).all())
+    return math.isfinite(np.add.reduce(a, None)) or bool(np.isfinite(a).all())
 
 
 class Tensor:
@@ -87,13 +96,14 @@ class Tensor:
 
     @classmethod
     def _from_op(cls, data: np.ndarray, parents: Sequence["Tensor"],
-                 vjp: Callable[[np.ndarray], None]) -> "Tensor":
+                 vjp: Callable[[np.ndarray], None] | None, check: bool = True) -> "Tensor":
         """Record one primitive application. ``vjp`` receives the output
         gradient and must accumulate into each requiring parent's ``grad``.
-        Inside ``no_grad()`` neither is stored."""
+        Inside ``no_grad()`` neither is stored. ``check=False`` is for ops
+        whose output is finite whenever their inputs are."""
         out = cls.__new__(cls)
         out.data = data
-        if not _all_finite(data):
+        if check and not _all_finite(data):
             raise NumericalError("operation produced non-finite values")
         out.grad = None
         out.requires_grad = _recording and any(p.requires_grad for p in parents)
@@ -206,14 +216,18 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-def _coerce(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+def _coerce(x, check: bool = True) -> Tensor:
+    """A non-tensor operand as a constant leaf. ``add`` and ``mul`` pass
+    ``check=False``: their output check rejects a non-finite constant."""
+    if isinstance(x, Tensor):
+        return x
+    return Tensor(x) if check else Tensor._from_op(np.asarray(x, dtype=np.float64), (), None, False)
 
 
 # -- elementwise ------------------------------------------------------------
 
 def add(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
+    a, b = _coerce(a, False), _coerce(b, False)
     out_data = a.data + b.data
 
     def vjp(g):
@@ -226,7 +240,7 @@ def add(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
+    a, b = _coerce(a, False), _coerce(b, False)
     out_data = a.data * b.data
 
     def vjp(g):
@@ -268,7 +282,7 @@ def clamp_min(x: Tensor, floor: float) -> Tensor:
     def vjp(g):
         x._accumulate(g * (x.data > floor))
 
-    return Tensor._from_op(y, (x,), vjp)
+    return Tensor._from_op(y, (x,), vjp, not math.isfinite(floor))
 
 
 def tanh(x: Tensor) -> Tensor:
@@ -277,7 +291,7 @@ def tanh(x: Tensor) -> Tensor:
     def vjp(g):
         x._accumulate(g * (1.0 - y * y))
 
-    return Tensor._from_op(y, (x,), vjp)
+    return Tensor._from_op(y, (x,), vjp, False)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -291,12 +305,15 @@ def sigmoid(x: Tensor) -> Tensor:
     def vjp(g):
         x._accumulate(g * y * (1.0 - y))
 
-    return Tensor._from_op(y, (x,), vjp)
+    return Tensor._from_op(y, (x,), vjp, False)
 
 
 # -- reductions and softmax ---------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def _normalize_axes(axes, ndim: int) -> tuple[int, ...]:
+    """Sorted non-negative axes from None, an int or a tuple, cached per
+    (axes, rank): the ops call it with a handful of distinct pairs."""
     if axes is None:
         return tuple(range(ndim))
     if isinstance(axes, int):
@@ -312,6 +329,12 @@ def _normalize_axes(axes, ndim: int) -> tuple[int, ...]:
     return tuple(sorted(axes))
 
 
+def _mean(a: np.ndarray, axes: tuple[int, ...], keepdims: bool, count: int):
+    """``a.mean(axes)`` bit for bit: numpy's mean is this sum and division,
+    behind a Python wrapper that costs more than both on small arrays."""
+    return np.add.reduce(a, axes, keepdims=keepdims) / count
+
+
 def reduce(x: Tensor, axes, kind: str, keepdims: bool = False) -> Tensor:
     """sum / mean over ``axes``, max over exactly one axis. Max ties route
     gradient to the first index along the axis, so backward is
@@ -325,8 +348,8 @@ def reduce(x: Tensor, axes, kind: str, keepdims: bool = False) -> Tensor:
             x._accumulate(np.broadcast_to(gg, x.shape).copy())
 
     elif kind == "mean":
-        count = int(np.prod([x.shape[a] for a in axes]))
-        y = x.data.mean(axis=axes, keepdims=keepdims)
+        count = math.prod(x.shape[a] for a in axes)
+        y = _mean(x.data, axes, keepdims, count)
 
         def vjp(g):
             gg = g if keepdims else np.expand_dims(g, axes)
@@ -346,7 +369,7 @@ def reduce(x: Tensor, axes, kind: str, keepdims: bool = False) -> Tensor:
 
     else:
         raise ValueError(f"unknown reduce kind {kind!r}")
-    return Tensor._from_op(y, (x,), vjp)
+    return Tensor._from_op(y, (x,), vjp, kind != "max")
 
 
 def softmax_over(x: Tensor, axes) -> Tensor:
@@ -360,7 +383,30 @@ def softmax_over(x: Tensor, axes) -> Tensor:
     def vjp(g):
         x._accumulate(s * (g - (g * s).sum(axis=axes, keepdims=True)))
 
-    return Tensor._from_op(s, (x,), vjp)
+    return Tensor._from_op(s, (x,), vjp, False)
+
+
+def standardize_over(x: Tensor, axes, guard: float, eps: float) -> Tensor:
+    """``(x - mean) / (sqrt(var + guard) + eps)`` jointly over ``axes``,
+    with the biased variance, as one op with a closed-form VJP. Values and
+    gradients equal those of the centre / square / mean / sqrt / divide
+    chain of primitives bit for bit: each step below is the arithmetic the
+    chain's VJPs perform, in their order."""
+    axes = _normalize_axes(axes, x.ndim)
+    count = math.prod(x.shape[a] for a in axes)
+    centered = x.data - _mean(x.data, axes, True, count)
+    std = np.sqrt(_mean(centered * centered, axes, True, count) + guard)
+    denom = std + eps
+    y = centered / denom
+
+    def vjp(g):
+        g_std = (-g * centered / (denom * denom)).sum(axis=axes, keepdims=True)
+        g_sq = g_std * (0.5 / std) / count
+        # the square's VJP reaches ``centered`` once through each factor
+        g_centered = g / denom + g_sq * centered + g_sq * centered
+        x._accumulate(g_centered + g_centered.sum(axis=axes, keepdims=True) * -1.0 / count)
+
+    return Tensor._from_op(y, (x,), vjp)
 
 
 def cross_entropy(logits: Tensor, targets) -> Tensor:
@@ -397,7 +443,7 @@ def reshape(x: Tensor, shape) -> Tensor:
     def vjp(g):
         x._accumulate(g.reshape(x.shape))
 
-    return Tensor._from_op(y, (x,), vjp)
+    return Tensor._from_op(y, (x,), vjp, False)
 
 
 def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
@@ -413,7 +459,7 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
         full[idx] = g
         x._accumulate(full)
 
-    return Tensor._from_op(y, (x,), vjp)
+    return Tensor._from_op(y, (x,), vjp, False)
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
@@ -429,7 +475,7 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
                 t._accumulate(g[idx])
             offset += n
 
-    return Tensor._from_op(y, tuple(tensors), vjp)
+    return Tensor._from_op(y, tuple(tensors), vjp, False)
 
 
 # -- contractions -------------------------------------------------------------

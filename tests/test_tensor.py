@@ -4,7 +4,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tfctx import dct
@@ -384,6 +384,46 @@ class TestReduce:
         assert abs(m - s / len(values)) < 1e-12 * max(1.0, abs(s))
 
 
+def standardize_chain(x, axes, guard, eps):
+    """The primitive chain ``standardize_over`` fuses, as TFE recorded it."""
+    mu = T.reduce(x, axes, "mean", keepdims=True)
+    centered = T.add(x, T.mul(mu, -1.0))
+    var = T.reduce(T.mul(centered, centered), axes, "mean", keepdims=True)
+    return T.div(centered, T.add(T.sqrt(T.add(var, guard)), eps))
+
+
+class TestStandardizeOver:
+    # random shapes and axes, then the TFE score grids of the toy net at
+    # batch 40 (8 groups): the stem's 32x100 map and the stage maps below it
+    @pytest.mark.parametrize("shape,axes", [
+        ((3, 7), (1,)), ((4, 5, 6), (0, 2)), ((2, 3, 4, 5), (2, 3)), ((6,), None),
+        ((40, 8, 32, 100), (2, 3)), ((40, 8, 16, 50), (2, 3)), ((40, 8, 8, 25), (2, 3)),
+        ((40, 8, 4, 13), (2, 3)),
+    ])
+    def test_matches_the_op_chain(self, shape, axes):
+        rng = np.random.default_rng(zlib.crc32(repr(shape).encode()))
+        x = rng.normal(size=shape) * 3.0 + 1.5
+        g = rng.normal(size=shape)
+        outs, grads = [], []
+        for fn in (T.standardize_over, standardize_chain):
+            t = T.Tensor(x, requires_grad=True)
+            y = fn(t, axes, 1e-24, 1e-5)
+            T.mul(y, T.Tensor(g)).sum().backward()
+            outs.append(y.data)
+            grads.append(t.grad)
+        np.testing.assert_allclose(outs[0], outs[1], rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(grads[0], grads[1], rtol=1e-12, atol=1e-15)
+
+    def test_constant_grid_stays_finite(self):
+        # zero variance: the guard keeps sqrt's derivative finite, which
+        # is what blocks._VAR_GUARD exists for
+        t = T.Tensor(np.full((2, 3, 4, 5), -2.5), requires_grad=True)
+        y = T.standardize_over(t, (2, 3), 1e-24, 1e-5)
+        np.testing.assert_array_equal(y.data, 0.0)
+        T.mul(y, T.Tensor(np.random.default_rng(3).normal(size=y.shape))).sum().backward()
+        assert np.isfinite(t.grad).all()
+
+
 class TestBackward:
     def test_quadratic(self):
         x = T.Tensor([1.0, -2.0, 3.0], requires_grad=True)
@@ -596,6 +636,7 @@ class TestEveryDifferentiableOp:
         ("cross_entropy", lambda t, c: T.cross_entropy(t, [2, 0, 3]), (3, 4)),
         ("einsum2", lambda t, c: T.einsum2("ab,cb->ac", t, c).sum(), (3, 4)),
         ("conv1d_same", lambda t, c: T.mul(T.conv1d_same(t, T.Tensor([0.25, -1.0, 0.5])), c).sum(), (3, 4)),
+        ("standardize_over", lambda t, c: T.mul(T.standardize_over(t, (1,), 1e-24, 1e-5), c).sum(), (3, 4)),
     ])
     def test_primitive(self, name, fn, shape):
         # crc32, not hash(): str hashes are salted per process, so a seed
@@ -692,17 +733,61 @@ class TestFinitePolicy:
         with pytest.raises(NumericalError):
             T.Tensor(values)
 
-    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid")
+    # each op that keeps the check, fed finite inputs it turns non-finite;
+    # a non-finite constant operand of add / mul is caught by the same check
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid", "ignore:divide")
     @pytest.mark.parametrize("op", [
         lambda: T.sqrt(T.Tensor([-1.0, 4.0])),
         lambda: T.mul(T.Tensor([1e300, 1.0]), 1e300),
         lambda: T.mul(T.Tensor([1.0, -1e300]), 1e300),
         lambda: T.mul(T.Tensor([1e300, -1e300]), 1e300),
         lambda: T.einsum2("i,j->ij", T.Tensor([1e300, -1e300]), T.Tensor([1e300])),
-    ], ids=["nan", "inf", "-inf", "inf_and_-inf", "inf_and_-inf_contracted"])
+        lambda: T.add(T.Tensor([1e308, 1.0]), T.Tensor([1e308, 1.0])),
+        lambda: T.div(T.Tensor([1.0, 2.0]), T.Tensor([1e-320, 1.0])),
+        lambda: T.reduce(T.Tensor([[1e308, 1e308]]), (1,), "sum"),
+        lambda: T.reduce(T.Tensor([[1e308, 1e308]]), (1,), "mean"),
+        lambda: T.linear(T.Tensor([[1e308, 1e308]]), T.Tensor([[1.0, 1.0]])),
+        lambda: T.conv2d(T.Tensor(np.full((1, 1, 1, 2), 1e308)), T.Tensor(np.ones((1, 1, 1, 2))), (1, 1), (0, 0)),
+        lambda: T.conv1d_same(T.Tensor([[1e308, 1e308, 1e308]]), T.Tensor([1.0, 1.0, 1.0])),
+        lambda: T.batch_norm2d(T.Tensor(np.full((2, 1, 1, 1), 1e308)), T.Tensor([1.0]), T.Tensor([0.0])),
+        lambda: T.cross_entropy(T.Tensor([[1e308, -1e308]]), [1]),
+        lambda: T.standardize_over(T.Tensor([[2.0, 2.0]]), (1,), 0.0, 0.0),
+        lambda: T.add(T.Tensor([1.0, 2.0]), float("inf")),
+        lambda: T.add(T.Tensor([1.0, 2.0]), float("nan")),
+        lambda: T.mul(T.Tensor([1.0, 0.0]), float("inf")),
+        lambda: T.mul(T.Tensor([1.0, 2.0]), float("nan")),
+    ], ids=["nan", "inf", "-inf", "inf_and_-inf", "inf_and_-inf_contracted",
+            "add", "div", "sum", "mean", "linear", "conv2d", "conv1d_same", "batch_norm2d",
+            "cross_entropy", "standardize_over",
+            "add_inf_constant", "add_nan_constant", "mul_inf_constant", "mul_nan_constant"])
     def test_non_finite_op_output_rejected(self, op):
         with pytest.raises(NumericalError, match="operation produced"):
             op()
+
+    # the ops that skip the check: finite in, finite out, down to the
+    # extremes (+-1e308 overflow a difference, subnormals underflow a scale)
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:underflow")
+    @pytest.mark.parametrize("op", [
+        lambda x: T.reshape(x, (-1,)),
+        lambda x: T.narrow(x, 1, 1, 1),
+        lambda x: T.concat([x, x], 0),
+        lambda x: T.clamp_min(x, 0.0),
+        lambda x: T.clamp_min(x, -1e308),
+        lambda x: T.tanh(x),
+        lambda x: T.sigmoid(x),
+        lambda x: T.softmax_over(x, (0, 1)),
+        lambda x: T.reduce(x, (1,), "max"),
+    ], ids=["reshape", "narrow", "concat", "clamp_min", "clamp_min_huge_floor", "tanh", "sigmoid",
+            "softmax_over", "max"])
+    @given(st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                              st.floats(allow_nan=False, allow_infinity=False)), min_size=1, max_size=6))
+    @example([(1e308, -1e308), (-1e308, 1e308)])
+    @example([(5e-324, -5e-324), (2.2e-308, -1.5e-310)])
+    @example([(1.7976931348623157e308, 0.0)])
+    @settings(max_examples=60, deadline=None)
+    def test_unchecked_op_keeps_finite_values_finite(self, op, rows):
+        y = op(T.Tensor(rows))
+        assert np.isfinite(y.data).all()
 
 
 class TestDumpFormat:
