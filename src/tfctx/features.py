@@ -234,7 +234,16 @@ def synth_utterance(spec: SyntheticSpeakerSpec, utt_index: int, seed: int,
     h = np.arange(1, n_harm + 1)
     amps = spec.envelope(h * f0) / np.sqrt(h)
     phases = rng.uniform(0.0, 2 * math.pi, n_harm)
-    voiced = (amps[:, None] * np.sin(h[:, None] * phase[None, :] + phases[:, None])).sum(axis=0)
+    # one harmonic at a time into one buffer, in the row order of a sum
+    # over axis 0, without a (harmonics x samples) temporary
+    voiced = np.zeros(n)
+    partial = np.empty(n)
+    for k in range(n_harm):
+        np.multiply(h[k], phase, out=partial)
+        partial += phases[k]
+        np.sin(partial, out=partial)
+        partial *= amps[k]
+        voiced += partial
 
     am_rate = rng.uniform(2.0, 6.0)
     am_phase = rng.uniform(0.0, 2 * math.pi)

@@ -1,4 +1,6 @@
+import hashlib
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -174,6 +176,34 @@ class TestSynthDataset:
                 a = open(os.path.join(d1, rel), "rb").read()
                 b = open(os.path.join(d2, rel), "rb").read()
                 assert a == b
+
+    def test_corpus_bytes_are_pinned(self, tmp_path):
+        # sha256 of the wavs as the (harmonics x samples) synthesizer wrote
+        # them; the per-harmonic accumulation must write the same bytes
+        features.synth_dataset(str(tmp_path), num_speakers=3, utts_per_speaker=2,
+                               duration_s=1.0, seed=21, eval_utts_per_speaker=1)
+        digest = hashlib.sha256()
+        for spk in ("spk000", "spk001", "spk002"):
+            for utt in range(3):
+                with open(tmp_path / "wav" / spk / f"utt{utt:04d}.wav", "rb") as f:
+                    digest.update(f.read())
+        assert digest.hexdigest() == "2a4e3b85f39fe0481f1f10471e3047099eb317fb37fb0eaa3231d9a57f807e73"
+
+    @pytest.mark.parametrize("speaker", [0, 1, 2])
+    def test_utterance_peak_memory_is_a_few_buffers(self, speaker):
+        # a 2.0 s utterance has 32000 samples and up to 49 harmonics; one
+        # (harmonics x samples) temporary alone is 20-49 sample buffers
+        spec = features.make_speaker_spec(speaker, 3)
+        n = 32000
+        features.synth_utterance(spec, 0, 3, 0.1)  # warm numpy's lazy set-up
+        tracemalloc.start()
+        try:
+            samples = features.synth_utterance(spec, 0, 3, 2.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert samples.shape == (n,)
+        assert peak < 12 * 8 * n
 
     def test_entry_counts_and_split(self, tmp_path):
         train, heldout = features.synth_dataset(str(tmp_path), 3, 4, 0.4, seed=9,
