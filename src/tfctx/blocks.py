@@ -226,9 +226,10 @@ def tfe_enhance(feature_map: Tensor, context: Tensor, params: TfeParams) -> Tens
     groups), scored against every local feature vector through the mixing
     matrix, standardized over the grid by one ``standardize_over`` op (eps
     guards the deviation, never a bare division), then affinely mapped and
-    squashed into a sigmoid gate on the group's features. The mixing matrix is applied to the context,
-    not the map: <u, W x> = <W^T u, x>, so the score of each position is
-    one dot product of its features with a per-group query W^T u.
+    squashed into a sigmoid gate on the group's features. The mixing matrix
+    is applied to the context, not the map: <u, W x> = <W^T u, x>, so the
+    score of each position is one dot product of its features with a
+    per-group query W^T u.
     """
     n, c, f, t = feature_map.shape
     if c != params.channels:

@@ -190,7 +190,7 @@ class TestSynthDataset:
         assert digest.hexdigest() == "2a4e3b85f39fe0481f1f10471e3047099eb317fb37fb0eaa3231d9a57f807e73"
 
     @pytest.mark.parametrize("speaker", [0, 1, 2])
-    def test_utterance_peak_memory_is_a_few_buffers(self, speaker):
+    def test_utterance_peak_memory_under_a_dozen_buffers(self, speaker):
         # a 2.0 s utterance has 32000 samples and up to 49 harmonics; one
         # (harmonics x samples) temporary alone is 20-49 sample buffers
         spec = features.make_speaker_spec(speaker, 3)

@@ -734,7 +734,8 @@ class TestFinitePolicy:
             T.Tensor(values)
 
     # each op that keeps the check, fed finite inputs it turns non-finite;
-    # a non-finite constant operand of add / mul is caught by the same check
+    # a non-finite constant operand of add / mul, or floor of clamp_min, is
+    # caught by the same check
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid", "ignore:divide")
     @pytest.mark.parametrize("op", [
         lambda: T.sqrt(T.Tensor([-1.0, 4.0])),
@@ -756,10 +757,12 @@ class TestFinitePolicy:
         lambda: T.add(T.Tensor([1.0, 2.0]), float("nan")),
         lambda: T.mul(T.Tensor([1.0, 0.0]), float("inf")),
         lambda: T.mul(T.Tensor([1.0, 2.0]), float("nan")),
+        lambda: T.clamp_min(T.Tensor([1.0, 2.0]), float("inf")),
     ], ids=["nan", "inf", "-inf", "inf_and_-inf", "inf_and_-inf_contracted",
             "add", "div", "sum", "mean", "linear", "conv2d", "conv1d_same", "batch_norm2d",
             "cross_entropy", "standardize_over",
-            "add_inf_constant", "add_nan_constant", "mul_inf_constant", "mul_nan_constant"])
+            "add_inf_constant", "add_nan_constant", "mul_inf_constant", "mul_nan_constant",
+            "clamp_min_inf_floor"])
     def test_non_finite_op_output_rejected(self, op):
         with pytest.raises(NumericalError, match="operation produced"):
             op()
