@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands: synth-data, train, eval, grad-check, export-dct, score.
+Subcommands: synth-data, train, eval, sweep, grad-check, export-dct, score.
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numerical
 failure (non-finite loss or a failed gradient check).
 """
@@ -45,6 +45,13 @@ def _build_parser() -> _Parser:
     common(sub.add_parser("train", help="train an embedder on the synthetic corpus"))
     common(sub.add_parser("eval", help="score a trial list with a trained model"),
            checkpoint=True, trials=True)
+
+    p = sub.add_parser("sweep", help="train and score toy block variants at insertion positions")
+    common(p)
+    p.add_argument("--variants", nargs="+", choices=list(config_mod.TOY_VARIANTS),
+                   default=list(config_mod.TOY_VARIANTS), help="toy variants (default: all)")
+    p.add_argument("--insertions", nargs="+", choices=config_mod._VALID["model.block.insertion"],
+                   help="block insertion positions (default: the config's)")
 
     p = sub.add_parser("grad-check", help="finite-difference check every block variant")
     p.add_argument("--seed", type=int, default=1234)
@@ -111,6 +118,17 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def cmd_sweep(args) -> int:
+    cfg = _load_config(args)
+    rows = train.sweep(cfg, args.variants, args.insertions or [cfg.model.block.insertion])
+    ordering = " < ".join(row.name for row in sorted(rows, key=lambda row: row.eer))
+    print(f"\nEER ordering (toy scale, not statistically meaningful): {ordering}")
+    skipped = sorted({rel for row in rows for rel in row.skipped})
+    for rel in skipped:
+        print(f"missing audio, trials skipped: {rel}", file=sys.stderr)
+    return EXIT_DATA if skipped else EXIT_OK
+
+
 def cmd_grad_check(args) -> int:
     report = gradcheck.run_grad_checks(seed=args.seed,
                                        include_full_network=not args.skip_full_network)
@@ -134,16 +152,8 @@ def cmd_export_dct(args) -> int:
 def cmd_score(args) -> int:
     trials = metrics.read_trials(args.trials)
     scores = metrics.match_scores(trials, metrics.read_scores(args.scores))
-    eer, thr_eer = metrics.compute_eer(trials, scores)
-    dcf, thr_dcf = metrics.compute_min_dcf(trials, scores)
-    report = metrics.format_report(eer, dcf, thr_eer, thr_dcf)
+    report, _, _ = metrics.score_report(trials, scores, args.out)
     print(report)
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "report.txt"), "w") as f:
-            f.write(report + "\n")
-        metrics.write_det_csv(os.path.join(args.out, "det.csv"),
-                              metrics.det_points(trials, scores))
     return EXIT_OK
 
 
@@ -151,6 +161,7 @@ _COMMANDS = {
     "synth-data": cmd_synth_data,
     "train": cmd_train,
     "eval": cmd_eval,
+    "sweep": cmd_sweep,
     "grad-check": cmd_grad_check,
     "export-dct": cmd_export_dct,
     "score": cmd_score,

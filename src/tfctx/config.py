@@ -198,11 +198,3 @@ def toy_preset(variant: str) -> RunConfig:
     cfg.model.block.dct_grid = [4, 13]
     return validate(cfg)
 
-
-def dumps(cfg: RunConfig) -> str:
-    return json.dumps(to_dict(cfg), indent=2, sort_keys=True)
-
-
-def save(path: str, cfg: RunConfig) -> None:
-    with open(path, "w") as f:
-        f.write(dumps(cfg) + "\n")

@@ -11,6 +11,7 @@ crossing.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -245,3 +246,17 @@ def write_det_csv(path: str, points: list[tuple[float, float]]) -> None:
         f.write("far,frr\n")
         for far, frr in points:
             f.write(f"{far:.10g},{frr:.10g}\n")
+
+
+def score_report(trials: TrialSet, scores, out_dir: str | None = None) -> tuple[str, float, float]:
+    """EER, minDCF and their report line; with ``out_dir``, also writes
+    report.txt and det.csv there. Returns (report_line, eer, min_dcf)."""
+    eer, thr_eer = compute_eer(trials, scores)
+    dcf, thr_dcf = compute_min_dcf(trials, scores)
+    report = format_report(eer, dcf, thr_eer, thr_dcf)
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
+        with open(os.path.join(out_dir, "report.txt"), "w") as f:
+            f.write(report + "\n")
+        write_det_csv(os.path.join(out_dir, "det.csv"), det_points(trials, scores))
+    return report, eer, dcf

@@ -54,9 +54,11 @@ _recording = True
 @contextlib.contextmanager
 def no_grad():
     """Record no tape inside the block: every op returns a tensor with
-    ``requires_grad`` False that keeps no closure or parents. Nestable; the
-    previous state comes back on exit, also on an exception. The switch is
-    process-wide, not per thread."""
+    ``requires_grad`` False that keeps no closure or parents, and
+    training-mode ``batch_norm2d`` leaves its running statistics alone,
+    since nothing is learned here. Nestable; the previous state comes back
+    on exit, also on an exception. The switch is process-wide, not per
+    thread."""
     global _recording
     previous = _recording
     _recording = False
@@ -673,7 +675,8 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5,
     """Per-channel normalization of an (N, C, F, T) tensor.
 
     Training mode normalizes with the batch statistics over (N, F, T) and
-    updates ``running``; inference mode normalizes with the running stats.
+    updates ``running`` while the tape records (not under ``no_grad()``);
+    inference mode normalizes with the running stats.
     """
     if eps <= 0:
         raise ValueError("batch_norm2d eps must be positive")
@@ -691,7 +694,7 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5,
         mean = np.einsum("ncp->c", flat) / count
         xhat = flat - mean[:, None]
         var = np.einsum("ncp,ncp->c", xhat, xhat) / count
-        if running is not None:
+        if running is not None and _recording:
             running.update(mean, var)
     else:
         if running is None:

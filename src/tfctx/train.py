@@ -8,15 +8,18 @@ evaluation embeds center chunks with frozen parameters.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import json
 import os
+import time
+from typing import NamedTuple
 
 import numpy as np
 
 from . import backbone, blocks, features, losses, metrics, optim
-from .config import RunConfig, to_dict
+from .config import TOY_VARIANTS, RunConfig, to_dict, validate
 from .errors import DataError
 from .tensor import Tensor, load_tensor, save_tensor
 
@@ -264,14 +267,8 @@ def evaluate_run(cfg: RunConfig, embedder: backbone.Embedder, trials: metrics.Tr
         for e, t in zip(trials.enroll_ids, trials.test_ids)
     ])
 
-    eer, thr_eer = metrics.compute_eer(trials, scores)
-    dcf, thr_dcf = metrics.compute_min_dcf(trials, scores)
-    report = metrics.format_report(eer, dcf, thr_eer, thr_dcf)
-
+    report, eer, dcf = metrics.score_report(trials, scores, out_dir)
     metrics.write_scores(os.path.join(out_dir, "scores.txt"), trials, scores)
-    metrics.write_det_csv(os.path.join(out_dir, "det.csv"), metrics.det_points(trials, scores))
-    with open(os.path.join(out_dir, "report.txt"), "w") as f:
-        f.write(report + "\n")
     return report, eer, dcf, skipped
 
 
@@ -294,3 +291,51 @@ def synth_corpus(cfg: RunConfig, quiet: bool = False) -> None:
     if not quiet:
         print(f"wrote {len(train)} training and {len(heldout)} held-out utterances, "
               f"{len(trials)} trials under {d.data_dir}")
+
+
+class SweepRow(NamedTuple):
+    name: str  # <variant>_<insertion>, also the run's directory under the sweep's out_dir
+    train_s: float
+    eer: float
+    min_dcf: float
+    report: str
+    skipped: list[str]
+
+
+def sweep(base: RunConfig, variants, insertions, quiet: bool = False) -> list[SweepRow]:
+    """Train and score one run per (variant, insertion) pair on the base
+    config's corpus, synthesizing the corpus first if its train manifest is
+    missing; prints the table of results unless quiet.
+
+    Variants are names in ``config.TOY_VARIANTS``, which set the block kind
+    and TFE on a copy of the base; everything else comes from the base.
+    Each run trains into ``<base.out_dir>/<variant>_<insertion>`` and is
+    scored on the corpus trial list into its ``eval`` subdirectory.
+    """
+    runs = []
+    for variant in variants:
+        for insertion in insertions:
+            cfg = copy.deepcopy(base)
+            cfg.model.block.kind, cfg.model.block.tfe = TOY_VARIANTS[variant]
+            cfg.model.block.insertion = insertion
+            cfg.out_dir = os.path.join(base.out_dir, f"{variant}_{insertion}")
+            runs.append(validate(cfg))
+    if not os.path.exists(os.path.join(base.data.data_dir, TRAIN_MANIFEST)):
+        synth_corpus(base, quiet=quiet)
+    trials = metrics.read_trials(os.path.join(base.data.data_dir, TRIALS_FILE))
+
+    if not quiet:
+        print(f"{'run':24s} {'train':>8s} {'EER':>8s} {'minDCF':>8s}")
+    rows = []
+    for cfg in runs:
+        t0 = time.perf_counter()
+        ckpt = train_run(cfg, cfg.out_dir, quiet=True)
+        train_s = time.perf_counter() - t0
+        embedder, ckpt_cfg = load_embedder(ckpt)
+        report, eer, dcf, skipped = evaluate_run(ckpt_cfg, embedder, trials,
+                                                 os.path.join(cfg.out_dir, "eval"))
+        row = SweepRow(os.path.basename(cfg.out_dir), train_s, eer, dcf, report, skipped)
+        rows.append(row)
+        if not quiet:
+            print(f"{row.name:24s} {train_s:7.1f}s {100 * eer:7.2f}% {dcf:8.4f}")
+    return rows

@@ -207,23 +207,16 @@ class TestCriterion7ToyEndToEnd:
     def test_five_variants_under_ten_percent(self, tmp_path):
         t0 = time.time()
         data_dir = str(tmp_path / "data")
-        base = toy_config(data_dir, "", "se")
-        train.synth_corpus(base, quiet=True)
+        base = toy_config(data_dir, str(tmp_path / "runs"), "se")
+        rows = train.sweep(base, config.TOY_VARIANTS, [base.model.block.insertion], quiet=True)
         manifest = open(os.path.join(data_dir, train.TRAIN_MANIFEST)).read().splitlines()
         assert len(manifest) == 20 * 50
         trials = metrics.read_trials(os.path.join(data_dir, train.TRIALS_FILE))
         assert len(trials) == 400
-
-        eers = {}
-        for variant in config.TOY_VARIANTS:
-            cfg = toy_config(data_dir, str(tmp_path / f"run_{variant}"), variant)
-            ckpt = train.train_run(cfg, cfg.out_dir, quiet=True)
-            embedder, ckpt_cfg = train.load_embedder(ckpt)
-            report, eer, dcf, skipped = train.evaluate_run(
-                ckpt_cfg, embedder, trials, os.path.join(cfg.out_dir, "eval"))
-            eers[variant] = eer
-            print(f"    {variant:14s} {report}")
-            assert not skipped
+        for row in rows:
+            print(f"    {row.name:24s} {row.report}")
+            assert not row.skipped
+        eers = {row.name: row.eer for row in rows}
         elapsed = time.time() - t0
         ranking = " < ".join(sorted(eers, key=eers.get))
         print(f"    relative ordering (not gated): {ranking}")
@@ -235,7 +228,7 @@ class TestCriterion7ToyEndToEnd:
 @pytest.mark.slow
 class TestCriterion8Determinism:
     def test_byte_identical_train_and_eval(self, tmp_path):
-        cfg = toy_config(str(tmp_path / "data"), str(tmp_path / "run"), "dct_gcm")
+        cfg = toy_config(str(tmp_path / "data"), str(tmp_path / "runs"), "dct_gcm")
         cfg.data.num_speakers = 3
         cfg.data.utts_per_speaker = 4
         cfg.data.eval_utts_per_speaker = 3
@@ -250,15 +243,12 @@ class TestCriterion8Determinism:
         cfg.model.block.reduction = 2
         cfg.model.block.tfe_groups = 2
         cfg.model.block.dct_grid = [4, 1]
-        train.synth_corpus(cfg, quiet=True)
-        trials = metrics.read_trials(os.path.join(cfg.data.data_dir, train.TRIALS_FILE))
 
         checkpoints, scores = [], []
         for _ in range(2):
-            ckpt = train.train_run(cfg, cfg.out_dir, quiet=True)
-            checkpoints.append(open(ckpt, "rb").read())
-            embedder, ckpt_cfg = train.load_embedder(ckpt)
-            train.evaluate_run(ckpt_cfg, embedder, trials, os.path.join(cfg.out_dir, "eval"))
-            scores.append(open(os.path.join(cfg.out_dir, "eval", "scores.txt"), "rb").read())
+            [row] = train.sweep(cfg, ["dct_gcm"], [cfg.model.block.insertion], quiet=True)
+            run = os.path.join(cfg.out_dir, row.name)
+            checkpoints.append(open(os.path.join(run, "checkpoint.ckpt"), "rb").read())
+            scores.append(open(os.path.join(run, "eval", "scores.txt"), "rb").read())
         _report("criterion 8: byte-identical repeated train and eval",
                 checkpoints[0] == checkpoints[1] and scores[0] == scores[1])

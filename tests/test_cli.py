@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 
@@ -37,7 +39,7 @@ class TestConfig:
         path, _ = micro_config(tmp_path)
         cfg = config.load(path)
         doc1 = config.to_dict(cfg)
-        doc2 = config.to_dict(config.from_dict(json.loads(config.dumps(cfg))))
+        doc2 = config.to_dict(config.from_dict(json.loads(json.dumps(config.to_dict(cfg)))))
         assert doc1 == doc2
 
     def test_unknown_top_level_key(self):
@@ -248,24 +250,55 @@ class TestTrainEval:
         assert capsys.readouterr().out.strip() == eval_report
 
 
+@pytest.fixture(scope="module")
+def swept(tmp_path_factory):
+    """One `tfctx sweep` over all five toy variants on one micro corpus:
+    (exit code, stdout, config doc)."""
+    path, doc = micro_config(tmp_path_factory.mktemp("swept"))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["sweep", "--config", path])
+    return code, out.getvalue(), doc
+
+
 class TestVariantSmoke:
-    """Every block-kind variant trains and evaluates without shape errors."""
+    """Every toy variant trains and scores without shape errors, each a run
+    of one sweep on a shared corpus."""
 
     @pytest.mark.parametrize("kind,tfe", [("se", False), ("att_gcm", False),
                                           ("att_gcm", True), ("dct_gcm", False),
                                           ("dct_gcm", True)])
-    def test_variant(self, tmp_path, kind, tfe):
-        path, doc = micro_config(tmp_path)
-        doc["model"]["block"]["kind"] = kind
-        doc["model"]["block"]["tfe"] = tfe
-        with open(path, "w") as f:
-            json.dump(doc, f)
-        assert cli.main(["synth-data", "--config", path]) == 0
-        assert cli.main(["train", "--config", path]) == 0
-        ckpt = os.path.join(doc["out_dir"], "checkpoint.ckpt")
-        trials = os.path.join(doc["data"]["data_dir"], "trials.txt")
-        assert cli.main(["eval", "--config", path, "--checkpoint", ckpt,
-                         "--trials", trials, "--out", str(tmp_path / "eval")]) == 0
+    def test_variant(self, swept, kind, tfe):
+        code, out, doc = swept
+        assert code == 0  # exit 2 if any run skipped trials
+        [variant] = [name for name, v in config.TOY_VARIANTS.items() if v == (kind, tfe)]
+        run = os.path.join(doc["out_dir"], f"{variant}_after_bn")
+        report = open(os.path.join(run, "eval", "report.txt")).read().strip()
+        assert report.startswith("EER=")
+        assert f"\n{variant}_after_bn " in out
+        prefix, ordering = out.strip().splitlines()[-1].split(": ")
+        assert prefix == "EER ordering (toy scale, not statistically meaningful)"
+        assert f"{variant}_after_bn" in ordering.split(" < ")
+
+
+class TestSweep:
+    def test_insertion_ablation_run_names(self, tmp_path):
+        _, doc = micro_config(tmp_path)
+        positions = ["after_bn", "before_bn", "before_conv"]
+        rows = train.sweep(config.from_dict(doc), ["att_gcm_tfe"], positions, quiet=True)
+        assert [row.name for row in rows] == [f"att_gcm_tfe_{p}" for p in positions]
+        for row in rows:
+            assert not row.skipped
+            assert row.report == open(os.path.join(
+                doc["out_dir"], row.name, "eval", "report.txt")).read().strip()
+
+    @pytest.mark.parametrize("option,value", [("--variants", "bogus"), ("--insertions", "none")])
+    def test_unknown_choice_is_usage_error(self, tmp_path, capsys, option, value):
+        path, _ = micro_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "--config", path, option, value])
+        assert exc.value.code == 1
+        assert not os.path.exists(tmp_path / "data")
 
 
 class TestShippedConfigs:

@@ -225,6 +225,19 @@ class TestBatchNorm:
         T.batch_norm2d(T.Tensor(x), T.Tensor(np.ones(3)), T.Tensor(np.zeros(3)), running=running)
         np.testing.assert_allclose(running.var, x.var(axis=(0, 2, 3)), rtol=0, atol=1e-12)
 
+    def test_running_stats_frozen_under_no_grad(self):
+        rng = np.random.default_rng(13)
+        x = T.Tensor(rng.normal(loc=1.5, size=(4, 2, 3, 5)))
+        gamma, beta = T.Tensor(np.ones(2)), T.Tensor(np.zeros(2))
+        running = T.RunningStats(2, momentum=1.0)
+        with T.no_grad():
+            T.batch_norm2d(x, gamma, beta, training=True, running=running)
+        np.testing.assert_array_equal(running.mean, np.zeros(2))
+        np.testing.assert_array_equal(running.var, np.ones(2))
+        T.batch_norm2d(x, gamma, beta, training=True, running=running)
+        np.testing.assert_allclose(running.mean, x.data.mean(axis=(0, 2, 3)))
+        np.testing.assert_allclose(running.var, x.data.var(axis=(0, 2, 3)))
+
     @pytest.mark.parametrize("training", [True, False])
     def test_non_contiguous_input_matches_contiguous_copy(self, training):
         rng = np.random.default_rng(12)
