@@ -26,7 +26,7 @@ from . import tensor as T
 from .errors import DataError, NumericalError, ShapeError
 from .tensor import RunningStats, Tensor
 
-INSERTION_POSITIONS = ("after_bn", "before_bn", "before_conv", "none")
+INSERTION_POSITIONS = ("after_bn", "before_bn", "before_conv")
 
 
 class Conv2dLayer:
@@ -69,16 +69,15 @@ class BatchNormLayer:
 
 class ResidualBlock:
     """conv-bn-relu-conv-bn with an optional context block at the configured
-    position, then the skip connection (1x1 projection on shape change)."""
+    position (read only when a block is present), then the skip connection
+    (1x1 projection on shape change)."""
 
     def __init__(self, cin: int, cout: int, stride: int = 1,
-                 gcm: blocks.GcmBlock | None = None, insertion: str = "none",
+                 gcm: blocks.GcmBlock | None = None, insertion: str = "after_bn",
                  rng: np.random.Generator | None = None):
         rng = rng if rng is not None else np.random.default_rng(0)
         if insertion not in INSERTION_POSITIONS:
             raise ValueError(f"unknown insertion position {insertion!r}")
-        if (gcm is None) != (insertion == "none"):
-            raise ValueError("insertion position must be 'none' exactly when no context block is present")
         self.conv1 = Conv2dLayer(cin, cout, 3, (stride, stride), (1, 1), rng=rng)
         self.bn1 = BatchNormLayer(cout)
         self.conv2 = Conv2dLayer(cout, cout, 3, (1, 1), (1, 1), rng=rng)
@@ -184,8 +183,7 @@ class Embedder:
                 # a block placed before the first conv recalibrates the input
                 gcm_width = cin if insertion == "before_conv" else cout
                 gcm = make_gcm(gcm_width) if wants_gcm else None
-                pos = insertion if gcm is not None else "none"
-                stage.append(ResidualBlock(cin, cout, s, gcm, pos, rng))
+                stage.append(ResidualBlock(cin, cout, s, gcm, insertion, rng))
                 cin = cout
                 if bi == 0:
                     f = _conv_out(f, stride)

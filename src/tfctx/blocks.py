@@ -6,13 +6,13 @@ a small transform, gate the map with a sigmoid of the mixed context, and
 optionally re-weight individual time-frequency positions from the
 similarity between each local feature vector and the (group-wise) context.
 
-Context variants:
-  * gap        - plain per-channel mean (squeeze-excitation style)
-  * attention  - query-independent attention over all (f, t) positions;
-                 one mask shared by every channel. The same module is the
-                 pooling core of the backbone's attentive statistics pooling,
-                 which feeds it (N, D, 1, T) frames
-  * multi_dct  - projections onto the K lowest 2D-DCT grids, max over K
+Context kinds (the run config's ``model.block.kind`` names):
+  * se       - plain per-channel mean (squeeze-excitation style)
+  * att_gcm  - query-independent attention over all (f, t) positions;
+               one mask shared by every channel. The same module is the
+               pooling core of the backbone's attentive statistics pooling,
+               which feeds it (N, D, 1, T) frames
+  * dct_gcm  - projections onto the K lowest 2D-DCT grids, max over K
 
 With a zeroed attention MLP the attention context degenerates to the mean,
 and with K=1 the DCT context is F*T times the mean; both identities are
@@ -103,12 +103,13 @@ class MultiDctContext:
 # -- channel transforms ---------------------------------------------------------
 
 
-def eca_kernel_size(channels: int, gamma: float = 2.0, b: float = 1.0) -> int:
+def eca_kernel_size(channels: int) -> int:
     """Adaptive 1D-conv kernel width: the odd integer nearest to
-    log2(C)/gamma + b/gamma, exact ties resolved to the smaller value."""
+    log2(C)/2 + 1/2 (ECA's gamma=2, b=1), exact ties resolved to the
+    smaller value."""
     if channels < 2:
         raise ValueError(f"need at least 2 channels, got {channels}")
-    raw = math.log2(channels) / gamma + b / gamma
+    raw = math.log2(channels) / 2.0 + 0.5
     lo = int(math.floor(raw))
     if lo % 2 == 0:
         lo -= 1
@@ -147,16 +148,13 @@ class FcChannelTransform:
 
 
 class Conv1dChannelTransform:
-    """Channel mixing by a short 1D convolution along the channel axis;
-    kernel width defaults to the adaptive odd size."""
+    """Channel mixing by a short 1D convolution along the channel axis,
+    ``eca_kernel_size(C)`` taps wide."""
 
-    def __init__(self, channels: int, kernel_size: int | None = None,
-                 gamma: float = 2.0, b: float = 1.0, rng: np.random.Generator | None = None,
+    def __init__(self, channels: int, rng: np.random.Generator | None = None,
                  input_scale: float = 1.0):
         rng = rng if rng is not None else np.random.default_rng(0)
-        k = kernel_size if kernel_size is not None else eca_kernel_size(channels, gamma, b)
-        if k % 2 == 0:
-            raise ShapeError(f"conv1d channel transform needs an odd kernel, got {k}")
+        k = eca_kernel_size(channels)
         self.kernel_size = k
         self.kernel = Tensor(rng.normal(0.0, 1.0 / (math.sqrt(k) * input_scale), (k,)),
                              requires_grad=True)
@@ -181,30 +179,24 @@ def channel_scale(feature_map: Tensor, gates: Tensor) -> Tensor:
 class TfeParams:
     """Group-wise enhancement parameters.
 
-    One square mixing matrix per channel group (optionally shared), plus a
-    scalar scale/shift pair per group applied to the standardized
-    similarity scores. scale=0, shift=1 makes enhancement start as a
-    uniform sigmoid(1) damping, leaving early training to the convolutions.
+    One square mixing matrix per channel group, plus a scalar scale/shift
+    pair per group applied to the standardized similarity scores. With
+    scale=0 (the default) and shift=1, enhancement starts as a uniform
+    sigmoid(1) damping, leaving early training to the convolutions.
     """
 
-    def __init__(self, channels: int, n_groups: int = 8, eps: float = 1e-5,
-                 scale_init: float = 0.0, shift_init: float = 1.0,
-                 shared: bool = False, rng: np.random.Generator | None = None):
+    def __init__(self, channels: int, n_groups: int = 8, scale_init: float = 0.0,
+                 rng: np.random.Generator | None = None):
         rng = rng if rng is not None else np.random.default_rng(0)
         if channels % n_groups != 0:
             raise ShapeError(f"{n_groups} groups do not divide {channels} channels")
-        if eps <= 0:
-            raise ValueError("eps must be positive")
         self.channels = channels
         self.n_groups = n_groups
         self.group_dim = channels // n_groups
-        self.eps = eps
-        self.shared = shared
         d = self.group_dim
-        shape = (d, d) if shared else (n_groups, d, d)
-        self.mix = Tensor(rng.normal(0.0, 1.0 / math.sqrt(d), shape), requires_grad=True)
+        self.mix = Tensor(rng.normal(0.0, 1.0 / math.sqrt(d), (n_groups, d, d)), requires_grad=True)
         self.scale = Tensor(np.full(n_groups, float(scale_init)), requires_grad=True)
-        self.shift = Tensor(np.full(n_groups, float(shift_init)), requires_grad=True)
+        self.shift = Tensor(np.ones(n_groups), requires_grad=True)
 
     def named_parameters(self, prefix: str = "tfe"):
         return [(f"{prefix}.mix", self.mix), (f"{prefix}.scale", self.scale),
@@ -217,6 +209,8 @@ class TfeParams:
 # any non-degenerate value.
 _NORM_GUARD_SQ = 1e-12
 _VAR_GUARD = 1e-24
+# added to the deviation before the standardization divides by it
+_STD_EPS = 1e-5
 
 
 def tfe_enhance(feature_map: Tensor, context: Tensor, params: TfeParams) -> Tensor:
@@ -244,11 +238,10 @@ def tfe_enhance(feature_map: Tensor, context: Tensor, params: TfeParams) -> Tens
     unit_ctx = T.div(ctx_g, norm)
 
     # no (N, G, D, F, T) mixed map is built or differentiated
-    spec = "ngd,dc->ngc" if params.shared else "ngd,gdc->ngc"
-    query = T.einsum2(spec, unit_ctx, params.mix)
+    query = T.einsum2("ngd,gdc->ngc", unit_ctx, params.mix)
     scores = T.einsum2("ngc,ngcft->ngft", query, grouped)
 
-    standardized = T.standardize_over(scores, (2, 3), _VAR_GUARD, params.eps)
+    standardized = T.standardize_over(scores, (2, 3), _VAR_GUARD, _STD_EPS)
 
     s = T.add(T.mul(standardized, T.reshape(params.scale, (1, g, 1, 1))),
               T.reshape(params.shift, (1, g, 1, 1)))
@@ -269,15 +262,13 @@ class GcmBlock:
     golden test.
     """
 
-    CONTEXT_KINDS = ("gap", "attention", "multi_dct")
+    CONTEXT_KINDS = ("se", "att_gcm", "dct_gcm")
 
-    def __init__(self, channels: int, kind: str = "gap", transform: str = "fc",
+    def __init__(self, channels: int, kind: str = "se", transform: str = "fc",
                  reduction: int = 16, attention_hidden: int | None = None,
-                 conv_kernel: int | None = None, eca_gamma: float = 2.0, eca_b: float = 1.0,
                  dct_components: int = 2, dct_grid: tuple[int, int] = (8, 25),
-                 tfe: bool = False, tfe_groups: int = 8, tfe_eps: float = 1e-5,
-                 tfe_scale_init: float = 0.0, tfe_shift_init: float = 1.0,
-                 tfe_shared: bool = False, rng: np.random.Generator | None = None):
+                 tfe: bool = False, tfe_groups: int = 8, tfe_scale_init: float = 0.0,
+                 rng: np.random.Generator | None = None):
         rng = rng if rng is not None else np.random.default_rng(0)
         if kind not in self.CONTEXT_KINDS:
             raise ValueError(f"unknown context kind {kind!r}")
@@ -287,20 +278,18 @@ class GcmBlock:
         # DCT pooling hands the transform an unnormalized sum over the grid;
         # start the (learnable) transform at a matching scale
         input_scale = 1.0
-        if kind == "attention":
+        if kind == "att_gcm":
             self.context = AttentionContext(channels, attention_hidden, rng)
-        elif kind == "multi_dct":
+        elif kind == "dct_gcm":
             self.context = MultiDctContext(build_basis_set(dct_grid[0], dct_grid[1], dct_components))
             input_scale = math.sqrt(dct_grid[0] * dct_grid[1])
         if transform == "fc":
             self.transform = FcChannelTransform(channels, reduction, rng, input_scale)
         elif transform == "conv1d":
-            self.transform = Conv1dChannelTransform(channels, conv_kernel, eca_gamma, eca_b,
-                                                    rng, input_scale)
+            self.transform = Conv1dChannelTransform(channels, rng, input_scale)
         else:
             raise ValueError(f"unknown channel transform {transform!r}")
-        self.tfe = TfeParams(channels, tfe_groups, tfe_eps, tfe_scale_init,
-                             tfe_shift_init, tfe_shared, rng) if tfe else None
+        self.tfe = TfeParams(channels, tfe_groups, tfe_scale_init, rng) if tfe else None
 
     def named_parameters(self, prefix: str = "gcm"):
         params = []
@@ -329,27 +318,26 @@ def parameter_count(named_params) -> int:
     return sum(t.size for _, t in named_params)
 
 
-def analytic_gcm_count(channels: int, kind: str = "gap", transform: str = "fc",
+def analytic_gcm_count(channels: int, kind: str = "se", transform: str = "fc",
                        reduction: int = 16, attention_hidden: int | None = None,
-                       conv_kernel: int | None = None, tfe: bool = False,
-                       tfe_groups: int = 8, tfe_shared: bool = False) -> int:
+                       tfe: bool = False, tfe_groups: int = 8) -> int:
     """Closed-form parameter count of one block, kept in lockstep with the
     actual tensors by a regression test.
 
     Attention adds hidden*(C+2) + 1 (projection, its bias, the score vector
     and one scalar score bias); an FC transform adds 2*C*(C//r); a conv
-    transform adds its kernel taps; enhancement adds the per-group (or
-    shared) mixing matrices plus one scale and shift per group.
+    transform adds its kernel taps; enhancement adds the per-group mixing
+    matrices plus one scale and shift per group.
     """
     total = 0
-    if kind == "attention":
+    if kind == "att_gcm":
         hidden = attention_hidden if attention_hidden is not None else max(1, channels // 8)
         total += hidden * (channels + 2) + 1
     if transform == "fc":
         total += 2 * channels * (channels // reduction)
     else:
-        total += conv_kernel if conv_kernel is not None else eca_kernel_size(channels)
+        total += eca_kernel_size(channels)
     if tfe:
         d = channels // tfe_groups
-        total += (d * d if tfe_shared else tfe_groups * d * d) + 2 * tfe_groups
+        total += tfe_groups * d * d + 2 * tfe_groups
     return total

@@ -12,7 +12,7 @@ import os
 import sys
 
 from . import config as config_mod
-from . import dct, gradcheck, metrics, train
+from . import backbone, dct, gradcheck, metrics, train
 from .errors import ConfigError, DataError, NumericalError
 
 EXIT_OK = 0
@@ -50,7 +50,7 @@ def _build_parser() -> _Parser:
     common(p)
     p.add_argument("--variants", nargs="+", choices=list(config_mod.TOY_VARIANTS),
                    default=list(config_mod.TOY_VARIANTS), help="toy variants (default: all)")
-    p.add_argument("--insertions", nargs="+", choices=config_mod._VALID["model.block.insertion"],
+    p.add_argument("--insertions", nargs="+", choices=backbone.INSERTION_POSITIONS,
                    help="block insertion positions (default: the config's)")
 
     p = sub.add_parser("grad-check", help="finite-difference check every block variant")

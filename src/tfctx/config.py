@@ -14,10 +14,9 @@ import functools
 import json
 from dataclasses import dataclass, field
 
+from .backbone import INSERTION_POSITIONS
+from .blocks import GcmBlock
 from .errors import ConfigError
-
-_MISSING = object()
-
 
 @dataclass
 class FeatureSection:
@@ -30,7 +29,6 @@ class FeatureSection:
     f_max: float | None = None  # null -> Nyquist
     log_floor: float = 1e-10
     chunk: int = 200
-    mean_norm: str = "per_bin"  # per_bin | per_frame
 
 
 @dataclass
@@ -50,16 +48,9 @@ class BlockSection:
     transform: str = "fc"  # fc | conv1d
     reduction: int = 4  # full-scale runs use 16
     attention_hidden_ratio: float = 0.125
-    conv_kernel: int | None = None  # null -> adaptive odd size
-    eca_gamma: float = 2.0
-    eca_b: float = 1.0
     dct_components: int = 2
     dct_grid: list = field(default_factory=lambda: [8, 25])
     tfe_groups: int = 8
-    tfe_eps: float = 1e-5
-    tfe_scale_init: float = 0.0
-    tfe_shift_init: float = 1.0
-    tfe_shared: bool = False
     insertion: str = "after_bn"  # after_bn | before_bn | before_conv
     stages: str = "all"  # all | last
 
@@ -85,11 +76,6 @@ class TrainSection:
     lr_decay: float = 0.75
     lr_decay_every: int = 18
     weight_decay: float = 5e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    proto_scale_init: float = 10.0
-    proto_bias_init: float = -5.0
 
 
 @dataclass
@@ -130,10 +116,9 @@ def _build(cls, doc: dict, where: str):
 
 
 _VALID = {
-    "features.mean_norm": ("per_bin", "per_frame"),
-    "model.block.kind": ("none", "se", "att_gcm", "dct_gcm"),
+    "model.block.kind": ("none", *GcmBlock.CONTEXT_KINDS),
     "model.block.transform": ("fc", "conv1d"),
-    "model.block.insertion": ("after_bn", "before_bn", "before_conv"),
+    "model.block.insertion": INSERTION_POSITIONS,
     "model.block.stages": ("all", "last"),
 }
 

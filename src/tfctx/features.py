@@ -148,14 +148,9 @@ def compute_fbank(wave_in: Waveform, cfg: FbankConfig) -> np.ndarray:
     return np.ascontiguousarray(np.log(np.maximum(energies, cfg.log_floor)).T)
 
 
-def mean_normalize(fbank: np.ndarray, mode: str = "per_bin") -> np.ndarray:
-    """Subtract per-frequency-bin means over the utterance (default), or
-    per-frame means over bins with mode='per_frame'."""
-    if mode == "per_bin":
-        return fbank - fbank.mean(axis=1, keepdims=True)
-    if mode == "per_frame":
-        return fbank - fbank.mean(axis=0, keepdims=True)
-    raise ValueError(f"unknown mean normalization mode {mode!r}")
+def mean_normalize(fbank: np.ndarray) -> np.ndarray:
+    """Subtract each frequency bin's mean over the utterance."""
+    return fbank - fbank.mean(axis=1, keepdims=True)
 
 
 def chunk_frames(fbank: np.ndarray, chunk: int = 200, mode: str = "center",

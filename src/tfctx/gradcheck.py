@@ -20,14 +20,14 @@ from .tensor import Tensor
 TOLERANCE = 1e-4
 
 BLOCK_VARIANTS = [
-    ("se_fc", dict(kind="gap", transform="fc")),
-    ("se_conv1d", dict(kind="gap", transform="conv1d")),
-    ("att_gcm_fc", dict(kind="attention", transform="fc")),
-    ("att_gcm_conv1d", dict(kind="attention", transform="conv1d")),
-    ("att_gcm_tfe", dict(kind="attention", transform="fc", tfe=True)),
-    ("dct_gcm_fc", dict(kind="multi_dct", transform="fc")),
-    ("dct_gcm_conv1d", dict(kind="multi_dct", transform="conv1d")),
-    ("dct_gcm_tfe", dict(kind="multi_dct", transform="fc", tfe=True)),
+    ("se_fc", dict(kind="se", transform="fc")),
+    ("se_conv1d", dict(kind="se", transform="conv1d")),
+    ("att_gcm_fc", dict(kind="att_gcm", transform="fc")),
+    ("att_gcm_conv1d", dict(kind="att_gcm", transform="conv1d")),
+    ("att_gcm_tfe", dict(kind="att_gcm", transform="fc", tfe=True)),
+    ("dct_gcm_fc", dict(kind="dct_gcm", transform="fc")),
+    ("dct_gcm_conv1d", dict(kind="dct_gcm", transform="conv1d")),
+    ("dct_gcm_tfe", dict(kind="dct_gcm", transform="fc", tfe=True)),
 ]
 
 
@@ -80,7 +80,7 @@ def micro_network(seed: int):
     factory_rng = np.random.default_rng(seed + 1)
 
     def make_gcm(channels):
-        return blocks.GcmBlock(channels, kind="attention", transform="fc", reduction=2,
+        return blocks.GcmBlock(channels, kind="att_gcm", transform="fc", reduction=2,
                                attention_hidden=2, tfe=True, tfe_groups=2,
                                tfe_scale_init=0.3, rng=factory_rng)
 

@@ -34,16 +34,11 @@ def make_gcm_factory(cfg: RunConfig, rng: np.random.Generator):
         return None
 
     def factory(channels: int) -> blocks.GcmBlock:
-        kind = {"se": "gap", "att_gcm": "attention", "dct_gcm": "multi_dct"}[b.kind]
         hidden = max(1, int(round(channels * b.attention_hidden_ratio)))
         return blocks.GcmBlock(
-            channels, kind=kind, transform=b.transform, reduction=b.reduction,
-            attention_hidden=hidden, conv_kernel=b.conv_kernel,
-            eca_gamma=b.eca_gamma, eca_b=b.eca_b,
-            dct_components=b.dct_components, dct_grid=tuple(b.dct_grid),
-            tfe=b.tfe, tfe_groups=b.tfe_groups, tfe_eps=b.tfe_eps,
-            tfe_scale_init=b.tfe_scale_init, tfe_shift_init=b.tfe_shift_init,
-            tfe_shared=b.tfe_shared, rng=rng)
+            channels, kind=b.kind, transform=b.transform, reduction=b.reduction,
+            attention_hidden=hidden, dct_components=b.dct_components,
+            dct_grid=tuple(b.dct_grid), tfe=b.tfe, tfe_groups=b.tfe_groups, rng=rng)
 
     return factory
 
@@ -113,7 +108,7 @@ def load_features(cfg: RunConfig, rel_paths, use_cache: bool = True) -> dict[str
                     save_tensor(f, stamp)
                     save_tensor(f, fbank)
                 os.replace(tmp_path, cache_path)
-        out[rel] = features.mean_normalize(fbank, cfg.features.mean_norm)
+        out[rel] = features.mean_normalize(fbank)
     return out
 
 
@@ -158,12 +153,11 @@ def train_run(cfg: RunConfig, out_dir: str, quiet: bool = False) -> str:
     rng = np.random.default_rng(cfg.seed)
     embedder = build_embedder(cfg, rng)
     head = losses.ClassifierHead(len(speakers), cfg.model.embed_dim, rng)
-    proto = losses.ProtoParams(cfg.train.proto_scale_init, cfg.train.proto_bias_init)
+    proto = losses.ProtoParams()
 
     named = embedder.named_parameters() + head.named_parameters() + proto.named_parameters()
     tr = cfg.train
-    opt = optim.AdamW(named, lr=tr.base_lr, beta1=tr.beta1, beta2=tr.beta2,
-                      eps=tr.adam_eps, weight_decay=tr.weight_decay)
+    opt = optim.AdamW(named, lr=tr.base_lr, weight_decay=tr.weight_decay)
 
     m = tr.utts_per_speaker_batch
     chunk = cfg.features.chunk

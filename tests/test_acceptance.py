@@ -136,7 +136,7 @@ class TestCriterion5StructuralConstants:
         ok = True
         details = []
         for c, r in ((32, 4), (64, 16), (256, 16)):
-            block = blocks.GcmBlock(c, kind="attention", transform="fc", reduction=r,
+            block = blocks.GcmBlock(c, kind="att_gcm", transform="fc", reduction=r,
                                     rng=np.random.default_rng(1))
             actual = blocks.parameter_count(block.named_parameters())
             hidden = max(1, c // 8)
@@ -154,7 +154,7 @@ class TestCriterion5StructuralConstants:
         leaner choice and is reported alongside in the README.
         """
         def gcm_counter(c):
-            return blocks.analytic_gcm_count(c, kind="attention", transform="fc",
+            return blocks.analytic_gcm_count(c, kind="att_gcm", transform="fc",
                                              reduction=16, attention_hidden=c,
                                              tfe=True, tfe_groups=8)
 
@@ -166,7 +166,7 @@ class TestCriterion5StructuralConstants:
         added = with_blocks - base
 
         # spot-check the analytic counter against instantiated tensors at one width
-        probe = blocks.GcmBlock(128, kind="attention", transform="fc", reduction=16,
+        probe = blocks.GcmBlock(128, kind="att_gcm", transform="fc", reduction=16,
                                 attention_hidden=128, tfe=True, tfe_groups=8,
                                 rng=np.random.default_rng(2))
         counter_ok = blocks.parameter_count(probe.named_parameters()) == gcm_counter(128)
@@ -184,7 +184,7 @@ class TestCriterion6TfeInitIdentity:
         for _ in range(10):
             c = int(rng.choice([8, 16, 32]))
             f, t = (int(x) for x in rng.integers(2, 10, size=2))
-            params = blocks.TfeParams(c, n_groups=8, scale_init=0.0, shift_init=1.0, rng=rng)
+            params = blocks.TfeParams(c, n_groups=8, rng=rng)
             x = rng.normal(size=(2, c, f, t)) * rng.uniform(0.5, 3.0)
             ctx = rng.normal(size=(2, c))
             out = blocks.tfe_enhance(Tensor(x), Tensor(ctx), params).data

@@ -39,7 +39,7 @@ class TestResidualBlock:
 
     def test_after_bn_gap_zero_transform_halves_branch(self):
         rng = np.random.default_rng(3)
-        gcm = blocks.GcmBlock(3, kind="gap", transform="fc", reduction=1, rng=rng)
+        gcm = blocks.GcmBlock(3, kind="se", transform="fc", reduction=1, rng=rng)
         gcm.transform.w_in.data[:] = 0.0
         gcm.transform.w_out.data[:] = 0.0
         with_gcm = backbone.ResidualBlock(3, 3, 1, gcm, "after_bn", np.random.default_rng(4))
@@ -55,18 +55,16 @@ class TestResidualBlock:
     @pytest.mark.parametrize("insertion", ["after_bn", "before_bn", "before_conv"])
     def test_insertion_positions_same_shape(self, insertion):
         width = 4 if insertion == "before_conv" else 6  # before_conv sees the block input
-        gcm = blocks.GcmBlock(width, kind="attention", transform="fc", reduction=2,
+        gcm = blocks.GcmBlock(width, kind="att_gcm", transform="fc", reduction=2,
                               rng=np.random.default_rng(6))
         block = backbone.ResidualBlock(4, 6, 2, gcm, insertion, np.random.default_rng(7))
         out = block(Tensor(np.random.default_rng(8).normal(size=(2, 4, 8, 9))), True)
         assert out.shape == (2, 6, 4, 5)
 
-    def test_insertion_none_requires_no_gcm(self):
+    def test_unknown_insertion_rejected(self):
         gcm = blocks.GcmBlock(4, reduction=2, rng=np.random.default_rng(9))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="insertion"):
             backbone.ResidualBlock(4, 4, 1, gcm, "none")
-        with pytest.raises(ValueError):
-            backbone.ResidualBlock(4, 4, 1, None, "after_bn")
 
 
 class TestAspPool:
@@ -140,8 +138,12 @@ class TestEmbedder:
         with pytest.raises(ShapeError):
             emb.forward(Tensor(np.zeros((1, 1, 12, 20))))
 
-    @pytest.mark.parametrize("kind,tfe", [("gap", False), ("attention", False),
-                                          ("attention", True), ("multi_dct", True)])
+    # ids name each kind by its context, as in test_blocks
+    @pytest.mark.parametrize("kind,tfe", [
+        pytest.param("se", False, id="gap-False"),
+        pytest.param("att_gcm", False, id="attention-False"),
+        pytest.param("att_gcm", True, id="attention-True"),
+        pytest.param("dct_gcm", True, id="multi_dct-True")])
     def test_gcm_variants_preserve_shapes(self, kind, tfe):
         factory = make_gcm_factory(kind=kind, transform="fc", reduction=2,
                                    dct_grid=(2, 3), dct_components=2, tfe=tfe, tfe_groups=2)
@@ -151,7 +153,7 @@ class TestEmbedder:
         assert emb.embed(x).shape == plain.embed(x).shape
 
     def test_eval_embed_records_no_tape(self):
-        factory = make_gcm_factory(kind="attention", transform="fc", reduction=2,
+        factory = make_gcm_factory(kind="att_gcm", transform="fc", reduction=2,
                                    tfe=True, tfe_groups=2)
         emb = toy_embedder(make_gcm=factory, seed=4)
         x = Tensor(np.random.default_rng(24).normal(size=(3, 1, 16, 20)))
@@ -164,7 +166,7 @@ class TestEmbedder:
         assert out.data.tobytes() == taped.data.tobytes()
 
     def test_last_stage_only(self):
-        factory = make_gcm_factory(kind="gap", transform="fc", reduction=2)
+        factory = make_gcm_factory(kind="se", transform="fc", reduction=2)
         emb = toy_embedder(make_gcm=factory, gcm_stages="last", seed=3)
         names = [n for n, _ in emb.named_parameters() if ".gcm." in n]
         assert names and all(n.startswith("stage3.") for n in names)
@@ -179,7 +181,7 @@ class TestTapeMemory:
 
     @pytest.fixture
     def model(self):
-        factory = make_gcm_factory(kind="attention", transform="fc", reduction=2,
+        factory = make_gcm_factory(kind="att_gcm", transform="fc", reduction=2,
                                    tfe=True, tfe_groups=2)
         emb = toy_embedder(make_gcm=factory, seed=8)
         head = losses.ClassifierHead(4, 8, np.random.default_rng(9))
@@ -227,9 +229,9 @@ class TestTapeMemory:
 class TestParameterCount:
     @pytest.mark.parametrize("gcm_kwargs,gcm_stages", [
         (None, "all"),
-        (dict(kind="gap", transform="fc", reduction=2), "all"),
-        (dict(kind="attention", transform="fc", reduction=2, tfe=True, tfe_groups=2), "all"),
-        (dict(kind="attention", transform="conv1d"), "last"),
+        (dict(kind="se", transform="fc", reduction=2), "all"),
+        (dict(kind="att_gcm", transform="fc", reduction=2, tfe=True, tfe_groups=2), "all"),
+        (dict(kind="att_gcm", transform="conv1d"), "last"),
     ])
     def test_actual_equals_analytic(self, gcm_kwargs, gcm_stages):
         factory = make_gcm_factory(**gcm_kwargs) if gcm_kwargs else None
@@ -238,7 +240,7 @@ class TestParameterCount:
         counter = None
         if gcm_kwargs:
             counter = lambda c: blocks.analytic_gcm_count(
-                c, kind=gcm_kwargs.get("kind", "gap"),
+                c, kind=gcm_kwargs.get("kind", "se"),
                 transform=gcm_kwargs.get("transform", "fc"),
                 reduction=gcm_kwargs.get("reduction", 16),
                 tfe=gcm_kwargs.get("tfe", False),

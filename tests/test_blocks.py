@@ -11,6 +11,12 @@ from tfctx.tensor import Tensor
 from oracles import adaptive_avg_pool, dct2_pool
 
 
+# test ids name each kind by its context: global average pooling, attention
+# or multi-DCT pooling
+CONTEXT_KINDS = [pytest.param("se", id="gap"), pytest.param("att_gcm", id="attention"),
+                 pytest.param("dct_gcm", id="multi_dct")]
+
+
 def rng_map(shape, seed=0):
     return np.random.default_rng(seed).normal(size=shape)
 
@@ -106,9 +112,10 @@ class TestChannelExcite:
         np.testing.assert_allclose(out.data, 0.5)
 
     def test_conv1d_impulse_is_plain_sigmoid(self):
-        tr = blocks.Conv1dChannelTransform(8, kernel_size=3, rng=np.random.default_rng(9))
+        tr = blocks.Conv1dChannelTransform(64, rng=np.random.default_rng(9))
+        assert tr.kernel_size == 3
         tr.kernel.data[:] = [0.0, 1.0, 0.0]
-        g = rng_map((1, 8), seed=6)
+        g = rng_map((1, 64), seed=6)
         out = T.sigmoid(tr.logits(Tensor(g)))
         np.testing.assert_allclose(out.data, 1 / (1 + np.exp(-g)), atol=1e-12)
 
@@ -206,11 +213,10 @@ def tfe_oracle(x, ctx, params):
     for ni in range(n):
         for gi in range(g):
             unit = cg[ni, gi] / np.sqrt((cg[ni, gi] ** 2).sum() + blocks._NORM_GUARD_SQ)
-            w = params.mix.data if params.shared else params.mix.data[gi]
-            scores = np.einsum("d,dc,cft->ft", unit, w, xg[ni, gi])
+            scores = np.einsum("d,dc,cft->ft", unit, params.mix.data[gi], xg[ni, gi])
             mu = scores.mean()
             sigma = np.sqrt(((scores - mu) ** 2).mean() + blocks._VAR_GUARD)
-            hat = (scores - mu) / (sigma + params.eps)
+            hat = (scores - mu) / (sigma + blocks._STD_EPS)
             hats[ni, gi] = hat
             s = params.scale.data[gi] * hat + params.shift.data[gi]
             out[ni, gi] = xg[ni, gi] * (1 / (1 + np.exp(-s)))
@@ -226,8 +232,8 @@ class TestTfeEnhance:
         np.testing.assert_allclose(out.data, 0.7310585786300049 * x, atol=1e-6)
 
     def test_matches_oracle_and_standardization(self):
-        params = blocks.TfeParams(8, n_groups=2, scale_init=0.7, shift_init=-0.3,
-                                  rng=np.random.default_rng(16))
+        params = blocks.TfeParams(8, n_groups=2, scale_init=0.7, rng=np.random.default_rng(16))
+        params.shift.data[...] = -0.3
         # large map values keep the score deviation far above eps, where the
         # standardized scores must have mean 0 and unit variance
         x = 100.0 * rng_map((2, 8, 6, 7), seed=17)
@@ -238,21 +244,11 @@ class TestTfeEnhance:
         np.testing.assert_allclose(hats.mean(axis=(2, 3)), 0.0, atol=1e-10)
         np.testing.assert_allclose(hats.var(axis=(2, 3)), 1.0, atol=1e-6)
 
-    def test_shared_mix_matrix(self):
-        params = blocks.TfeParams(6, n_groups=3, scale_init=0.5, shared=True,
-                                  rng=np.random.default_rng(17))
-        x = rng_map((1, 6, 4, 5), seed=19)
-        ctx = rng_map((1, 6), seed=20)
-        got = blocks.tfe_enhance(Tensor(x), Tensor(ctx), params).data
-        want, _ = tfe_oracle(x, ctx, params)
-        np.testing.assert_allclose(got, want, atol=1e-12)
-
-    @pytest.mark.parametrize("shared", [False, True])
-    def test_group_width_one_matches_oracle(self, shared):
+    def test_group_width_one_matches_oracle(self):
         """One channel per group, as at the toy net's first stage (C=8,
         8 groups): each score is the map itself times a signed scalar."""
-        params = blocks.TfeParams(8, n_groups=8, scale_init=0.6, shift_init=0.4, shared=shared,
-                                  rng=np.random.default_rng(21))
+        params = blocks.TfeParams(8, n_groups=8, scale_init=0.6, rng=np.random.default_rng(21))
+        params.shift.data[...] = 0.4
         x = rng_map((2, 8, 4, 5), seed=22)
         ctx = rng_map((2, 8), seed=23)
         got = blocks.tfe_enhance(Tensor(x), Tensor(ctx), params).data
@@ -262,8 +258,8 @@ class TestTfeEnhance:
     def test_zero_context_group_is_benign(self):
         """A relu bottleneck can hand over an exactly-zero context; the
         enhancement must degrade to a uniform sigmoid(shift) gate."""
-        params = blocks.TfeParams(4, n_groups=2, scale_init=0.5, shift_init=0.2,
-                                  rng=np.random.default_rng(30))
+        params = blocks.TfeParams(4, n_groups=2, scale_init=0.5, rng=np.random.default_rng(30))
+        params.shift.data[...] = 0.2
         x = rng_map((1, 4, 3, 4), seed=31)
         out = blocks.tfe_enhance(Tensor(x), Tensor(np.zeros((1, 4))), params)
         np.testing.assert_allclose(out.data, x / (1 + np.exp(-0.2)), atol=1e-9)
@@ -275,7 +271,7 @@ class TestTfeEnhance:
 
 class TestGcmBlock:
     def test_gap_zero_transform_halves(self):
-        block = blocks.GcmBlock(4, kind="gap", transform="fc", reduction=2,
+        block = blocks.GcmBlock(4, kind="se", transform="fc", reduction=2,
                                 rng=np.random.default_rng(18))
         block.transform.w_in.data[:] = 0.0
         block.transform.w_out.data[:] = 0.0
@@ -285,10 +281,10 @@ class TestGcmBlock:
 
     def test_attention_equals_gap_when_mlp_zeroed(self):
         rng_state = np.random.default_rng(19)
-        att = blocks.GcmBlock(4, kind="attention", transform="fc", reduction=2, rng=rng_state)
+        att = blocks.GcmBlock(4, kind="att_gcm", transform="fc", reduction=2, rng=rng_state)
         att.context.proj.data[:] = 0.0
         att.context.proj_bias.data[:] = 0.0
-        gap = blocks.GcmBlock(4, kind="gap", transform="fc", reduction=2)
+        gap = blocks.GcmBlock(4, kind="se", transform="fc", reduction=2)
         gap.transform.w_in.data[:] = att.transform.w_in.data
         gap.transform.w_out.data[:] = att.transform.w_out.data
         x = Tensor(rng_map((2, 4, 5, 6), seed=22))
@@ -297,7 +293,7 @@ class TestGcmBlock:
     def test_tfe_tap_is_pre_sigmoid_context(self):
         """Golden composition: the enhancement consumes the transformed
         context before the gate squashes it."""
-        block = blocks.GcmBlock(8, kind="gap", transform="fc", reduction=4,
+        block = blocks.GcmBlock(8, kind="se", transform="fc", reduction=4,
                                 tfe=True, tfe_groups=4, tfe_scale_init=0.9,
                                 rng=np.random.default_rng(20))
         x = Tensor(rng_map((1, 8, 4, 5), seed=23))
@@ -309,7 +305,7 @@ class TestGcmBlock:
         want = blocks.tfe_enhance(scaled, logits, block.tfe)
         np.testing.assert_allclose(got.data, want.data, atol=1e-14)
 
-    @pytest.mark.parametrize("kind", ["gap", "attention", "multi_dct"])
+    @pytest.mark.parametrize("kind", CONTEXT_KINDS)
     @pytest.mark.parametrize("tfe", [False, True])
     def test_shape_preserved(self, kind, tfe):
         block = blocks.GcmBlock(8, kind=kind, transform="fc", reduction=4,
@@ -320,7 +316,7 @@ class TestGcmBlock:
             assert out.shape == shape
 
     def test_rank3_map_rejected(self):
-        block = blocks.GcmBlock(8, kind="gap", transform="fc", reduction=4,
+        block = blocks.GcmBlock(8, kind="se", transform="fc", reduction=4,
                                 rng=np.random.default_rng(21))
         with pytest.raises(ShapeError):
             block(Tensor(rng_map((8, 3, 4), seed=24)))
@@ -329,10 +325,10 @@ class TestGcmBlock:
     @settings(max_examples=25, deadline=None)
     def test_attenuation_bound(self, f, t, seed):
         rng = np.random.default_rng(seed)
-        block = blocks.GcmBlock(4, kind="attention", transform="fc", reduction=2,
-                                tfe=True, tfe_groups=2,
-                                tfe_scale_init=rng.normal(), tfe_shift_init=rng.normal(),
-                                rng=rng)
+        scale, shift = rng.normal(), rng.normal()
+        block = blocks.GcmBlock(4, kind="att_gcm", transform="fc", reduction=2,
+                                tfe=True, tfe_groups=2, tfe_scale_init=scale, rng=rng)
+        block.tfe.shift.data[...] = shift
         x = rng.normal(size=(2, 4, f, t))
         out = block(Tensor(x))
         assert (np.abs(out.data) <= np.abs(x) + 1e-15).all()
@@ -340,24 +336,23 @@ class TestGcmBlock:
 
 class TestParameterCount:
     @pytest.mark.parametrize("kwargs", [
-        dict(kind="gap", transform="fc", reduction=4),
-        dict(kind="attention", transform="fc", reduction=4),
-        dict(kind="attention", transform="conv1d"),
-        dict(kind="multi_dct", transform="fc", reduction=4, dct_grid=(3, 4)),
-        dict(kind="attention", transform="fc", reduction=4, tfe=True, tfe_groups=4),
-        dict(kind="attention", transform="fc", reduction=4, tfe=True, tfe_groups=4, tfe_shared=True),
+        dict(kind="se", transform="fc", reduction=4),
+        dict(kind="att_gcm", transform="fc", reduction=4),
+        dict(kind="att_gcm", transform="conv1d"),
+        dict(kind="dct_gcm", transform="fc", reduction=4, dct_grid=(3, 4)),
+        dict(kind="att_gcm", transform="fc", reduction=4, tfe=True, tfe_groups=4),
     ])
     def test_actual_matches_analytic(self, kwargs):
         block = blocks.GcmBlock(16, rng=np.random.default_rng(22), **kwargs)
         analytic = blocks.analytic_gcm_count(
-            16, kind=kwargs.get("kind", "gap"), transform=kwargs.get("transform", "fc"),
+            16, kind=kwargs.get("kind", "se"), transform=kwargs.get("transform", "fc"),
             reduction=kwargs.get("reduction", 16), tfe=kwargs.get("tfe", False),
-            tfe_groups=kwargs.get("tfe_groups", 8), tfe_shared=kwargs.get("tfe_shared", False))
+            tfe_groups=kwargs.get("tfe_groups", 8))
         assert blocks.parameter_count(block.named_parameters()) == analytic
 
     def test_attention_fc_closed_form(self):
         c, r, hidden = 32, 4, 32 // 8
-        block = blocks.GcmBlock(c, kind="attention", transform="fc", reduction=r,
+        block = blocks.GcmBlock(c, kind="att_gcm", transform="fc", reduction=r,
                                 rng=np.random.default_rng(23))
         assert blocks.parameter_count(block.named_parameters()) == \
             2 * c * c // r + hidden * (c + 2) + 1
@@ -365,19 +360,17 @@ class TestParameterCount:
 
 class TestBlockGradients:
     @pytest.mark.parametrize("kind,transform,tfe", [
-        ("gap", "fc", False),
-        ("attention", "fc", False),
-        ("attention", "conv1d", False),
-        ("multi_dct", "fc", False),
-        ("attention", "fc", True),
-        ("multi_dct", "conv1d", True),
-        ("gap", "fc", "shared"),
+        pytest.param("se", "fc", False, id="gap-fc-False"),
+        pytest.param("att_gcm", "fc", False, id="attention-fc-False"),
+        pytest.param("att_gcm", "conv1d", False, id="attention-conv1d-False"),
+        pytest.param("dct_gcm", "fc", False, id="multi_dct-fc-False"),
+        pytest.param("att_gcm", "fc", True, id="attention-fc-True"),
+        pytest.param("dct_gcm", "conv1d", True, id="multi_dct-conv1d-True"),
     ])
     def test_input_gradient(self, kind, transform, tfe):
         block = blocks.GcmBlock(8, kind=kind, transform=transform, reduction=4,
-                                dct_grid=(3, 4), dct_components=3, tfe=bool(tfe), tfe_groups=4,
-                                tfe_scale_init=0.5, tfe_shared=tfe == "shared",
-                                rng=np.random.default_rng(24))
+                                dct_grid=(3, 4), dct_components=3, tfe=tfe, tfe_groups=4,
+                                tfe_scale_init=0.5, rng=np.random.default_rng(24))
         x = rng_map((1, 8, 3, 4), seed=25)
         target = Tensor(rng_map((1, 8, 3, 4), seed=26))
 
@@ -387,7 +380,7 @@ class TestBlockGradients:
         assert T.finite_diff_check(fn, Tensor(x)) < 1e-4
 
     def test_all_parameter_gradients(self):
-        block = blocks.GcmBlock(8, kind="attention", transform="fc", reduction=4,
+        block = blocks.GcmBlock(8, kind="att_gcm", transform="fc", reduction=4,
                                 tfe=True, tfe_groups=4, tfe_scale_init=0.3,
                                 rng=np.random.default_rng(25))
         x = Tensor(rng_map((1, 8, 3, 4), seed=27))

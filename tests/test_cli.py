@@ -60,8 +60,6 @@ class TestConfig:
         assert cfg.features.n_mels == 64
         assert cfg.model.block.dct_components == 2
         assert cfg.model.block.tfe_groups == 8
-        assert cfg.model.block.tfe_scale_init == 0.0
-        assert cfg.model.block.tfe_shift_init == 1.0
         assert cfg.train.weight_decay == 5e-5
         assert cfg.train.utts_per_speaker_batch == 2
 

@@ -128,11 +128,6 @@ class TestMeanNormalize:
         once = features.mean_normalize(fb)
         np.testing.assert_allclose(features.mean_normalize(once), once, atol=1e-12)
 
-    def test_per_frame_mode(self):
-        fb = np.random.default_rng(4).normal(size=(5, 8))
-        out = features.mean_normalize(fb, mode="per_frame")
-        np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-10)
-
 
 class TestChunkFrames:
     def test_exact_length_identity(self):
