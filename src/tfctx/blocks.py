@@ -155,7 +155,6 @@ class Conv1dChannelTransform:
                  input_scale: float = 1.0):
         rng = rng if rng is not None else np.random.default_rng(0)
         k = eca_kernel_size(channels)
-        self.kernel_size = k
         self.kernel = Tensor(rng.normal(0.0, 1.0 / (math.sqrt(k) * input_scale), (k,)),
                              requires_grad=True)
 

@@ -142,9 +142,10 @@ def cmd_grad_check(args) -> int:
 
 
 def cmd_export_dct(args) -> int:
-    if not 1 <= args.components <= args.grid_f * args.grid_t:
-        raise ConfigError(f"components must lie in [1, {args.grid_f * args.grid_t}]")
-    paths = dct.export_basis_csv(args.grid_f, args.grid_t, args.components, args.out)
+    try:
+        paths = dct.export_basis_csv(args.grid_f, args.grid_t, args.components, args.out)
+    except ValueError as exc:  # grid extents or component count out of range
+        raise ConfigError(str(exc)) from None
     print(f"wrote {len(paths)} basis grids to {args.out}")
     return EXIT_OK
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import typing
 from dataclasses import dataclass, field
 
 from .backbone import INSERTION_POSITIONS
@@ -97,6 +98,10 @@ _SECTION_TYPES = {
 }
 
 
+_JSON_TYPES = {bool: "boolean", int: "integer", float: "number", str: "string",
+               list: "array", dict: "object", type(None): "null"}
+
+
 def _build(cls, doc: dict, where: str):
     if not isinstance(doc, dict):
         raise ConfigError(f"{where}: expected an object, got {type(doc).__name__}")
@@ -104,14 +109,21 @@ def _build(cls, doc: dict, where: str):
     unknown = set(doc) - known
     if unknown:
         raise ConfigError(f"{where}: unknown key(s) {sorted(unknown)}; known keys: {sorted(known)}")
+    hints = typing.get_type_hints(cls)
     kwargs = {}
     for name, value in doc.items():
         if name in _SECTION_TYPES:
             kwargs[name] = _build(_SECTION_TYPES[name], value, f"{where}.{name}")
-        elif isinstance(value, dict):
-            raise ConfigError(f"{where}.{name}: unexpected object")
-        else:
-            kwargs[name] = value
+            continue
+        # the field's declared type: a bool is no number, an integer is a
+        # valid float, and null is allowed only where the default is None
+        declared = typing.get_args(hints[name]) or (hints[name],)
+        allowed = declared + (int,) if float in declared else declared
+        if isinstance(value, bool) != (bool in allowed) or not isinstance(value, allowed):
+            raise ConfigError(f"{where}.{name}: expected "
+                              f"{' or '.join(_JSON_TYPES[t] for t in declared)}, "
+                              f"got {_JSON_TYPES.get(type(value), type(value).__name__)}")
+        kwargs[name] = value
     return cls(**kwargs)
 
 
@@ -139,6 +151,10 @@ def validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError("train.utts_per_speaker_batch must be at least 2")
     if cfg.train.epochs < 1 or cfg.train.speakers_per_batch < 1:
         raise ConfigError("train.epochs and train.speakers_per_batch must be positive")
+    if cfg.features.chunk < 1:
+        raise ConfigError("features.chunk must be positive")
+    if cfg.seed < 0:
+        raise ConfigError("seed must be non-negative")
     return cfg
 
 

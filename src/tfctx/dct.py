@@ -99,6 +99,8 @@ _BASIS_CACHE: dict[tuple[int, int, int], DctBasisSet] = {}
 def build_basis_set(big_f: int, big_t: int, k: int) -> DctBasisSet:
     """First K components under the low-frequency-first order. Grids are
     computed once per (F, T, K) and cached; they are immutable afterwards."""
+    if big_f < 1 or big_t < 1:
+        raise ValueError(f"grid extents must be positive, got {big_f}x{big_t}")
     if not 1 <= k <= big_f * big_t:
         raise ValueError(f"K={k} out of range [1, {big_f * big_t}] for a {big_f}x{big_t} grid")
     key = (big_f, big_t, k)

@@ -86,6 +86,10 @@ class FbankConfig:
             raise ValueError(f"mel range [{self.f_min}, {self.f_max}] invalid for sr={self.sample_rate}")
         if self.fft_size < self.win_samples:
             raise ValueError(f"fft_size {self.fft_size} smaller than the {self.win_samples}-sample window")
+        if self.win_samples < 1 or self.hop_samples < 1:
+            raise ValueError(f"window {self.win_ms} ms and hop {self.hop_ms} ms must each span a sample")
+        if not self.log_floor > 0:
+            raise ValueError(f"log_floor must be positive, got {self.log_floor}")
 
     @property
     def win_samples(self) -> int:

@@ -20,12 +20,13 @@ import numpy as np
 
 from . import backbone, blocks, features, losses, metrics, optim
 from .config import TOY_VARIANTS, RunConfig, to_dict, validate
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .tensor import Tensor, load_tensor, save_tensor
 
 TRAIN_MANIFEST = "train_manifest.txt"
 EVAL_MANIFEST = "eval_manifest.txt"
 TRIALS_FILE = "trials.txt"
+CORPUS_FILE = "corpus.json"
 
 
 def make_gcm_factory(cfg: RunConfig, rng: np.random.Generator):
@@ -43,21 +44,33 @@ def make_gcm_factory(cfg: RunConfig, rng: np.random.Generator):
     return factory
 
 
+# what the constructors raise on a value they cannot build from
+_BUILD_ERRORS = (ArithmeticError, TypeError, ValueError)
+
+
 def build_embedder(cfg: RunConfig, rng: np.random.Generator) -> backbone.Embedder:
+    """The config's model; a value it cannot be built from is a ConfigError."""
     m = cfg.model
-    return backbone.Embedder(
-        mel_bins=cfg.features.n_mels, stage_channels=list(m.stage_channels),
-        blocks_per_stage=list(m.blocks_per_stage), stage_strides=list(m.stage_strides),
-        stem_stride=tuple(m.stem_stride), embed_dim=m.embed_dim, asp_hidden=m.asp_hidden,
-        make_gcm=make_gcm_factory(cfg, rng), insertion=m.block.insertion,
-        gcm_stages=m.block.stages, rng=rng)
+    try:
+        return backbone.Embedder(
+            mel_bins=cfg.features.n_mels, stage_channels=list(m.stage_channels),
+            blocks_per_stage=list(m.blocks_per_stage), stage_strides=list(m.stage_strides),
+            stem_stride=tuple(m.stem_stride), embed_dim=m.embed_dim, asp_hidden=m.asp_hidden,
+            make_gcm=make_gcm_factory(cfg, rng), insertion=m.block.insertion,
+            gcm_stages=m.block.stages, rng=rng)
+    except _BUILD_ERRORS as exc:
+        raise ConfigError(f"model: {exc}") from exc
 
 
 def fbank_config(cfg: RunConfig) -> features.FbankConfig:
+    """The config's filterbank settings; invalid ones are a ConfigError."""
     f = cfg.features
-    return features.FbankConfig(sample_rate=f.sample_rate, n_mels=f.n_mels, win_ms=f.win_ms,
-                                hop_ms=f.hop_ms, fft_size=f.fft_size, f_min=f.f_min,
-                                f_max=f.f_max, log_floor=f.log_floor)
+    try:
+        return features.FbankConfig(sample_rate=f.sample_rate, n_mels=f.n_mels, win_ms=f.win_ms,
+                                    hop_ms=f.hop_ms, fft_size=f.fft_size, f_min=f.f_min,
+                                    f_max=f.f_max, log_floor=f.log_floor)
+    except _BUILD_ERRORS as exc:
+        raise ConfigError(f"features: {exc}") from exc
 
 
 def _cache_dir(cfg: RunConfig) -> str:
@@ -137,12 +150,46 @@ def _batches(entries, speakers_per_batch: int, m: int, rng: np.random.Generator)
                 yield [(spk, pair_lists[spk][r]) for spk in group]
 
 
+def _corpus_fields(cfg: RunConfig) -> dict:
+    """The settings a synthesized corpus is made from, by config path: the
+    data section without ``data_dir``, the sample rate and the seed."""
+    fields = {f"data.{k}": v for k, v in dataclasses.asdict(cfg.data).items() if k != "data_dir"}
+    fields["features.sample_rate"] = cfg.features.sample_rate
+    fields["seed"] = cfg.seed
+    return fields
+
+
+def _check_corpus(cfg: RunConfig) -> None:
+    """DataError if the corpus in data_dir was synthesized with other
+    settings than the config's. The seed is not compared, so that several
+    seeds can train on one corpus; a corpus without CORPUS_FILE passes."""
+    path = os.path.join(cfg.data.data_dir, CORPUS_FILE)
+    try:
+        with open(path) as f:
+            recorded = json.load(f)
+    except FileNotFoundError:
+        return
+    except ValueError as exc:
+        raise DataError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(recorded, dict):
+        raise DataError(f"{path}: expected an object")
+    wrong = [f"{k} {recorded.get(k)!r} (config: {v!r})"
+             for k, v in _corpus_fields(cfg).items() if k != "seed" and recorded.get(k) != v]
+    if wrong:
+        raise DataError(f"the corpus in {cfg.data.data_dir} does not match the config: "
+                        + ", ".join(wrong))
+
+
 def train_run(cfg: RunConfig, out_dir: str, quiet: bool = False) -> str:
     """Train per the config; returns the final checkpoint path. Writes
     train.log (replacing an earlier run's) and one checkpoint per epoch; a
     non-finite loss or gradient aborts with the last finished epoch's
-    checkpoint kept on disk."""
-    os.makedirs(out_dir, exist_ok=True)
+    checkpoint kept on disk. The model and the filterbank are built, and
+    the corpus checked against the config, before any audio is read."""
+    fbank_config(cfg)
+    rng = np.random.default_rng(cfg.seed)
+    embedder = build_embedder(cfg, rng)
+    _check_corpus(cfg)
     manifest = features.read_manifest(os.path.join(cfg.data.data_dir, TRAIN_MANIFEST))
     speakers = sorted({spk for spk, _ in manifest})
     if len(speakers) < 2:
@@ -150,8 +197,6 @@ def train_run(cfg: RunConfig, out_dir: str, quiet: bool = False) -> str:
     spk_index = {spk: i for i, spk in enumerate(speakers)}
     feats = load_features(cfg, [rel for _, rel in manifest])
 
-    rng = np.random.default_rng(cfg.seed)
-    embedder = build_embedder(cfg, rng)
     head = losses.ClassifierHead(len(speakers), cfg.model.embed_dim, rng)
     proto = losses.ProtoParams()
 
@@ -161,6 +206,7 @@ def train_run(cfg: RunConfig, out_dir: str, quiet: bool = False) -> str:
 
     m = tr.utts_per_speaker_batch
     chunk = cfg.features.chunk
+    os.makedirs(out_dir, exist_ok=True)
     log_path = os.path.join(out_dir, "train.log")
     final_path = os.path.join(out_dir, "checkpoint.ckpt")
     config_doc = to_dict(cfg)
@@ -267,8 +313,9 @@ def evaluate_run(cfg: RunConfig, embedder: backbone.Embedder, trials: metrics.Tr
 
 
 def synth_corpus(cfg: RunConfig, quiet: bool = False) -> None:
-    """Deterministic corpus plus manifests and a balanced held-out trial
-    list under cfg.data.data_dir."""
+    """Deterministic corpus plus manifests, a balanced held-out trial list
+    and CORPUS_FILE (the settings it was made from, which train_run checks)
+    under cfg.data.data_dir."""
     d = cfg.data
     train, heldout = features.synth_dataset(
         d.data_dir, d.num_speakers, d.utts_per_speaker, d.duration_s,
@@ -282,6 +329,8 @@ def synth_corpus(cfg: RunConfig, quiet: bool = False) -> None:
     trials = metrics.sample_balanced_trials(ids_by_speaker, d.num_trials,
                                             np.random.default_rng(cfg.seed + 1))
     metrics.write_trials(os.path.join(d.data_dir, TRIALS_FILE), trials)
+    with open(os.path.join(d.data_dir, CORPUS_FILE), "w") as f:
+        json.dump(_corpus_fields(cfg), f, indent=1)
     if not quiet:
         print(f"wrote {len(train)} training and {len(heldout)} held-out utterances, "
               f"{len(trials)} trials under {d.data_dir}")

@@ -113,7 +113,7 @@ class TestChannelExcite:
 
     def test_conv1d_impulse_is_plain_sigmoid(self):
         tr = blocks.Conv1dChannelTransform(64, rng=np.random.default_rng(9))
-        assert tr.kernel_size == 3
+        assert tr.kernel.shape == (3,)
         tr.kernel.data[:] = [0.0, 1.0, 0.0]
         g = rng_map((1, 64), seed=6)
         out = T.sigmoid(tr.logits(Tensor(g)))
@@ -341,6 +341,7 @@ class TestParameterCount:
         dict(kind="att_gcm", transform="conv1d"),
         dict(kind="dct_gcm", transform="fc", reduction=4, dct_grid=(3, 4)),
         dict(kind="att_gcm", transform="fc", reduction=4, tfe=True, tfe_groups=4),
+        dict(kind="dct_gcm", transform="conv1d", dct_grid=(3, 4), tfe=True, tfe_groups=2),
     ])
     def test_actual_matches_analytic(self, kwargs):
         block = blocks.GcmBlock(16, rng=np.random.default_rng(22), **kwargs)

@@ -1,10 +1,14 @@
 import contextlib
+import glob
 import io
 import json
 import os
+import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tfctx import backbone, cli, config, dct, features, metrics, train
 from tfctx import tensor as T
@@ -13,12 +17,11 @@ from tfctx.errors import ConfigError, DataError
 from oracles import basis_weight, forge_checkpoint
 
 
-def micro_config(tmp_path, **train_overrides):
-    tmp_path.mkdir(parents=True, exist_ok=True)
-    doc = {
+def micro_doc(root, **train_overrides):
+    return {
         "seed": 11,
-        "out_dir": str(tmp_path / "run"),
-        "data": {"data_dir": str(tmp_path / "data"), "num_speakers": 3,
+        "out_dir": str(root / "run"),
+        "data": {"data_dir": str(root / "data"), "num_speakers": 3,
                  "utts_per_speaker": 4, "eval_utts_per_speaker": 3,
                  "duration_s": 0.6, "num_trials": 10},
         "features": {"chunk": 40},
@@ -28,10 +31,35 @@ def micro_config(tmp_path, **train_overrides):
                             "tfe_groups": 2}},
         "train": {"epochs": 1, "speakers_per_batch": 3, **train_overrides},
     }
+
+
+def micro_config(tmp_path, **train_overrides):
+    tmp_path.mkdir(parents=True, exist_ok=True)
+    doc = micro_doc(tmp_path, **train_overrides)
     path = str(tmp_path / "config.json")
     with open(path, "w") as f:
         json.dump(doc, f)
     return path, doc
+
+
+MICRO_DOC = micro_doc(pathlib.Path("unused"))
+
+
+def _field_paths(doc, prefix=()):
+    for key, value in doc.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _field_paths(value, prefix + (key,))
+
+
+# every section and field of the full micro config, defaults included
+FIELD_PATHS = list(_field_paths(config.to_dict(config.from_dict(MICRO_DOC))))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 64)
+    | st.floats(-100, 100, allow_nan=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=2),
+    max_leaves=6) | st.lists(st.integers(-3, 64), min_size=2, max_size=4)
 
 
 class TestConfig:
@@ -71,6 +99,29 @@ class TestConfig:
         want["train"]["speakers_per_batch"] = 20
         want["model"]["block"].update(kind=kind, tfe=tfe, dct_grid=[4, 13])
         assert config.to_dict(config.toy_preset(variant)) == want
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_one_bad_field_is_a_config_error(self, data):
+        """Any one field of the micro config set to a small value of any
+        JSON type is rejected by the loader, or builds the model and the
+        filterbank, or fails to build them with a ConfigError."""
+        doc = config.to_dict(config.from_dict(MICRO_DOC))
+        path = data.draw(st.sampled_from(FIELD_PATHS))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = data.draw(JSON_VALUES)
+        try:
+            cfg = config.from_dict(doc)
+        except ConfigError:
+            return
+        for build in (lambda: train.build_embedder(cfg, np.random.default_rng(0)),
+                      lambda: train.fbank_config(cfg)):
+            try:
+                build()
+            except ConfigError:
+                pass
 
     def test_toy_preset_covers_five_variants(self):
         assert sorted(config.TOY_VARIANTS) == ["att_gcm", "att_gcm_tfe", "dct_gcm",
@@ -290,6 +341,23 @@ class TestSweep:
             assert row.report == open(os.path.join(
                 doc["out_dir"], row.name, "eval", "report.txt")).read().strip()
 
+    def test_corpus_of_other_settings_is_data_error(self, tmp_path):
+        """A sweep of 4 speakers at seed 12 into a corpus synthesized for 3
+        speakers at seed 11 refuses to train; the seed alone may differ."""
+        path, doc = micro_config(tmp_path)
+        assert cli.main(["synth-data", "--config", path]) == 0
+        cfg = config.from_dict(doc)
+        cfg.seed, cfg.data.num_speakers = 12, 4
+        with pytest.raises(DataError, match="data.num_speakers 3"):
+            train.sweep(cfg, ["se"], ["after_bn"], quiet=True)
+        assert not os.path.exists(os.path.join(doc["out_dir"], "se_after_bn"))
+        with open(os.path.join(doc["data"]["data_dir"], "corpus.json")) as f:
+            recorded = json.load(f)
+        assert recorded["seed"] == 11 and "data.data_dir" not in recorded
+        cfg.data.num_speakers = 3
+        [row] = train.sweep(cfg, ["se"], ["after_bn"], quiet=True)
+        assert row.report.startswith("EER=") and not row.skipped
+
     @pytest.mark.parametrize("option,value", [("--variants", "bogus"), ("--insertions", "none")])
     def test_unknown_choice_is_usage_error(self, tmp_path, capsys, option, value):
         path, _ = micro_config(tmp_path)
@@ -427,12 +495,60 @@ class TestExportDct:
                 for t in range(4):
                     assert grid[f, t] == pytest.approx(basis_weight(i, j, f, t, 3, 4), abs=1e-12)
 
+    def test_negative_grid_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "negative"
+        assert cli.main(["export-dct", "--grid-f", "-2", "--grid-t", "-3",
+                         "--components", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
     def test_bad_component_count_is_usage_error(self, capsys):
         assert cli.main(["export-dct", "--grid-f", "2", "--grid-t", "2",
                          "--components", "5", "--out", "/tmp/never"]) == 1
 
 
+# one config section's updates per case, each a value `tfctx train` once met
+# with a raw traceback
+BAD_CONFIGS = {
+    "dct_components_100": (("model", "block"), {"dct_components": 100}),
+    "dct_grid_0x3": (("model", "block"), {"dct_grid": [0, 3]}),
+    "tfe_groups_3": (("model", "block"), {"tfe": True, "tfe_groups": 3}),
+    "reduction_8": (("model", "block"), {"reduction": 8}),
+    "f_max_10": (("features",), {"f_max": 10}),
+    "fft_size_128": (("features",), {"fft_size": 128}),
+    "chunk_0": (("features",), {"chunk": 0}),
+    "embed_dim_1": (("model",), {"embed_dim": 1}),
+    "reduction_string": (("model", "block"), {"reduction": "4"}),
+}
+
+
+@pytest.fixture(scope="module")
+def micro_corpus(tmp_path_factory):
+    path, doc = micro_config(tmp_path_factory.mktemp("corpus"))
+    assert cli.main(["synth-data", "--config", path]) == 0
+    return doc["data"]["data_dir"]
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("case", BAD_CONFIGS)
+    def test_bad_value_is_config_error_before_reading(self, micro_corpus, tmp_path, capsys, case):
+        section, updates = BAD_CONFIGS[case]
+        doc = micro_doc(tmp_path)
+        doc["data"]["data_dir"] = micro_corpus
+        target = doc
+        for key in section:
+            target = target[key]
+        target.update(updates)
+        path = str(tmp_path / "bad.json")
+        with open(path, "w") as f:
+            json.dump(doc, f)
+        assert cli.main(["train", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+        # nothing was read from the corpus or written for the run
+        assert not glob.glob(os.path.join(micro_corpus, "fbank_cache_*"))
+        assert not os.path.exists(doc["out_dir"])
+
     def test_unknown_command_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate"])

@@ -1,8 +1,11 @@
+import dataclasses
 import os
 
 import numpy as np
+import pytest
 
 from tfctx import config, features, train
+from tfctx.tensor import Tensor
 
 
 def micro_config(tmp_path, seed=11):
@@ -108,3 +111,53 @@ class TestTrainLog:
         with open(os.path.join(fresh_dir, "train.log")) as f:
             fresh = f.read()
         assert rerun and rerun == fresh
+
+
+# per BlockSection field: (settings under which the field is read, another
+# valid value); the base is the tiny model below with a DCT-GCM block
+LIVE_KNOBS = {
+    "kind": ({}, "att_gcm"),
+    "tfe": ({}, True),
+    "transform": ({}, "conv1d"),
+    "reduction": ({"transform": "fc"}, 4),
+    "attention_hidden_ratio": ({"kind": "att_gcm"}, 0.5),
+    "dct_components": ({"kind": "dct_gcm"}, 3),
+    "dct_grid": ({"kind": "dct_gcm"}, [2, 3]),
+    "tfe_groups": ({"tfe": True}, 4),
+    "insertion": ({}, "before_bn"),
+    "stages": ({}, "last"),
+}
+
+
+class TestEveryBlockKnobIsLive:
+    """Changing any block field, where it is read, changes the model: its
+    parameter shapes or its eval embedding of a fixed input."""
+
+    @staticmethod
+    def fingerprint(block_settings):
+        cfg = config.RunConfig()
+        cfg.features.n_mels = 16
+        cfg.model.stage_channels = [4, 4, 8, 8]
+        cfg.model.blocks_per_stage = [1, 1, 1, 1]
+        cfg.model.embed_dim = 8
+        cfg.model.asp_hidden = 4
+        cfg.model.block.kind = "dct_gcm"
+        cfg.model.block.reduction = 2
+        cfg.model.block.tfe_groups = 2
+        cfg.model.block.dct_grid = [2, 2]
+        for name, value in block_settings.items():
+            setattr(cfg.model.block, name, value)
+        embedder = train.build_embedder(config.validate(cfg), np.random.default_rng(0))
+        x = Tensor(np.random.default_rng(1).normal(size=(2, 1, 16, 12)))
+        shapes = [(name, p.shape) for name, p in embedder.named_parameters()]
+        return shapes, embedder.embed(x).data
+
+    def test_every_field_listed(self):
+        assert set(LIVE_KNOBS) == {f.name for f in dataclasses.fields(config.BlockSection)}
+
+    @pytest.mark.parametrize("field", LIVE_KNOBS)
+    def test_changes_the_model(self, field):
+        base, value = LIVE_KNOBS[field]
+        shapes, emb = self.fingerprint(base)
+        new_shapes, new_emb = self.fingerprint({**base, field: value})
+        assert new_shapes != shapes or not np.array_equal(new_emb, emb)
