@@ -507,8 +507,8 @@ class TestExportDct:
                          "--components", "5", "--out", "/tmp/never"]) == 1
 
 
-# one config section's updates per case, each a value `tfctx train` once met
-# with a raw traceback
+# one config section's updates per case: a value that validate, the model or
+# the filterbank cannot accept
 BAD_CONFIGS = {
     "dct_components_100": (("model", "block"), {"dct_components": 100}),
     "dct_grid_0x3": (("model", "block"), {"dct_grid": [0, 3]}),
