@@ -153,6 +153,9 @@ def validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError("train.epochs and train.speakers_per_batch must be positive")
     if cfg.features.chunk < 1:
         raise ConfigError("features.chunk must be positive")
+    d = cfg.data
+    if d.num_speakers < 1 or d.utts_per_speaker < 1 or not d.duration_s > 0:
+        raise ConfigError("data.num_speakers, data.utts_per_speaker and data.duration_s must be positive")
     if cfg.seed < 0:
         raise ConfigError("seed must be non-negative")
     return cfg
@@ -168,12 +171,14 @@ def to_dict(cfg: RunConfig) -> dict:
 
 def load(path: str) -> RunConfig:
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             doc = json.load(f)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text ({exc.reason})") from None
     return from_dict(doc)
 
 

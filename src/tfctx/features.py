@@ -282,7 +282,7 @@ def write_manifest(path: str, entries) -> None:
 def read_manifest(path: str) -> list[tuple[str, str]]:
     entries = []
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             for line_no, line in enumerate(f, 1):
                 line = line.strip()
                 if not line:
@@ -293,6 +293,8 @@ def read_manifest(path: str) -> list[tuple[str, str]]:
                 entries.append((parts[0], parts[1]))
     except FileNotFoundError:
         raise DataError(f"manifest not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"manifest {path} is not UTF-8 text ({exc.reason})") from None
     if not entries:
         raise DataError(f"manifest is empty: {path}")
     return entries

@@ -179,7 +179,7 @@ def write_trials(path: str, trials: TrialSet) -> None:
 def read_trials(path: str) -> TrialSet:
     labels, enrolls, tests = [], [], []
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             for line_no, line in enumerate(f, 1):
                 line = line.strip()
                 if not line:
@@ -192,6 +192,8 @@ def read_trials(path: str) -> TrialSet:
                 tests.append(parts[2])
     except FileNotFoundError:
         raise DataError(f"trial list not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"trial list {path} is not UTF-8 text ({exc.reason})") from None
     if not labels:
         raise DataError(f"trial list is empty: {path}")
     return TrialSet(np.array(labels), tuple(enrolls), tuple(tests))
@@ -207,7 +209,7 @@ def write_scores(path: str, trials: TrialSet, scores) -> None:
 def read_scores(path: str) -> list[tuple[str, str, float]]:
     out = []
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             for line_no, line in enumerate(f, 1):
                 line = line.strip()
                 if not line:
@@ -221,6 +223,8 @@ def read_scores(path: str) -> list[tuple[str, str, float]]:
                     raise DataError(f"{path}:{line_no}: bad score {parts[2]!r}") from None
     except FileNotFoundError:
         raise DataError(f"score file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"score file {path} is not UTF-8 text ({exc.reason})") from None
     if not out:
         raise DataError(f"score file is empty: {path}")
     return out

@@ -14,6 +14,16 @@ replay, gradient included. Tensors the caller still holds keep their
 inference (``Embedder.embed`` in eval mode) and the numeric side of the
 finite-difference checkers run.
 
+A closure keeps no array that its parents' ``data`` and a few per-channel
+vectors determine; the VJP rebuilds it with the forward pass's
+arithmetic, so values and gradients keep their bits. ``conv2d`` keeps no
+padded input, ``batch_norm2d`` no normalized map (only the shift and
+``1/sqrt(var + eps)`` per channel) and ``standardize_over`` no centred
+grid (only the mean). The consequence: a parent's ``data`` must not be
+mutated between the forward pass and its ``backward``. The optimizer and
+the finite-difference checkers change parameters only after the analytic
+backward has run.
+
 Every contraction, ``einsum2`` and its two VJPs as well as the three
 inside ``conv2d``, takes one route: ``_contract``, a batched matmul over a
 permutation plan cached per spec. Its values equal ``np.einsum``'s to
@@ -396,12 +406,14 @@ def standardize_over(x: Tensor, axes, guard: float, eps: float) -> Tensor:
     chain's VJPs perform, in their order."""
     axes = _normalize_axes(axes, x.ndim)
     count = math.prod(x.shape[a] for a in axes)
-    centered = x.data - _mean(x.data, axes, True, count)
+    mean = _mean(x.data, axes, True, count)
+    centered = x.data - mean
     std = np.sqrt(_mean(centered * centered, axes, True, count) + guard)
     denom = std + eps
     y = centered / denom
 
     def vjp(g):
+        centered = x.data - mean  # as in the forward pass; the tape keeps only the mean
         g_std = (-g * centered / (denom * denom)).sum(axis=axes, keepdims=True)
         g_sq = g_std * (0.5 / std) / count
         # the square's VJP reaches ``centered`` once through each factor
@@ -586,17 +598,34 @@ def einsum2(spec: str, a: Tensor, b: Tensor) -> Tensor:
 
 # -- structured ops -----------------------------------------------------------
 
+def _windows(data: np.ndarray, kernel: tuple[int, int], stride: tuple[int, int],
+             padding: tuple[int, int], out_extent: tuple[int, int]) -> np.ndarray:
+    """Read-only (N, C, Fo, To, kf, kt) view of the (kf, kt) windows of NCHW
+    ``data`` zero-padded by ``padding``, built by ``as_strided`` from the
+    padded array's own strides, so any layout works and no window is copied.
+    Unpadded data is viewed as it is; padding makes one padded copy."""
+    n, c, f, t = data.shape
+    (kf, kt), (sf, st), (pf, pt), (fo, to) = kernel, stride, padding, out_extent
+    xp = data
+    if pf or pt:
+        xp = np.zeros((n, c, f + 2 * pf, t + 2 * pt))
+        xp[:, :, pf: pf + f, pt: pt + t] = data
+    s_n, s_c, s_f, s_t = xp.strides
+    return np.lib.stride_tricks.as_strided(
+        xp, (n, c, fo, to, kf, kt), (s_n, s_c, s_f * sf, s_t * st, s_f, s_t), writeable=False)
+
+
 def conv2d(x: Tensor, weight: Tensor, stride: tuple[int, int], padding: tuple[int, int]) -> Tensor:
     """2D cross-correlation of NCHW input with OIHW weights, no bias.
 
     ``stride`` and ``padding`` are (frequency, time) pairs; output extents
     follow floor((n + 2*pad - k)/stride) + 1. One route for every shape
     (patch matrices, Chellapilla et al. 2006): the output and the weight
-    gradient contract one read-only strided view of the padded input's
-    (kf, kt) windows, built by ``as_strided`` from the input's own strides,
-    so any layout works and no window is copied; the input gradient is one
-    contraction into per-window gradients, added back one kernel tap at a
-    time (col2im). All three contractions are ``_contract``.
+    gradient contract the padded input's windows (``_windows``); the input
+    gradient is one contraction into per-window gradients, added back one
+    kernel tap at a time (col2im). All three contractions are
+    ``_contract``. The tape keeps no padded copy: the weight gradient
+    rebuilds the windows from ``x.data``.
     """
     if x.ndim != 4 or weight.ndim != 4:
         raise ShapeError(f"conv2d expects rank-4 input and weight, got {x.shape} and {weight.shape}")
@@ -611,21 +640,15 @@ def conv2d(x: Tensor, weight: Tensor, stride: tuple[int, int], padding: tuple[in
 
     fo = (f + 2 * pf - kf) // sf + 1
     to = (t + 2 * pt - kt) // st + 1
-    xp = x.data
-    if pf or pt:
-        xp = np.zeros((n, cin, f + 2 * pf, t + 2 * pt))
-        xp[:, :, pf: pf + f, pt: pt + t] = x.data
-    s_n, s_c, s_f, s_t = xp.strides
-    patches = np.lib.stride_tricks.as_strided(
-        xp, (n, cin, fo, to, kf, kt), (s_n, s_c, s_f * sf, s_t * st, s_f, s_t), writeable=False)
-    out = _contract("ncftab,kcab->nkft", patches, weight.data)
+    geometry = ((kf, kt), stride, padding, (fo, to))
+    out = _contract("ncftab,kcab->nkft", _windows(x.data, *geometry), weight.data)
 
     def vjp(g):
         if weight.requires_grad:
-            weight._accumulate(_contract("nkft,ncftab->kcab", g, patches))
+            weight._accumulate(_contract("nkft,ncftab->kcab", g, _windows(x.data, *geometry)))
         if x.requires_grad:
             gpatches = _contract("nkft,kcab->ncftab", g, weight.data)
-            dxp = np.zeros(xp.shape)
+            dxp = np.zeros((n, cin, f + 2 * pf, t + 2 * pt))
             for a in range(kf):
                 for b in range(kt):
                     dxp[:, :, a: a + (fo - 1) * sf + 1: sf, b: b + (to - 1) * st + 1: st] += gpatches[..., a, b]
@@ -691,15 +714,17 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5,
     # reductions over axes (0, 2, 3) walk the array several times
     flat = x.data.reshape(n, c, f * t)
     if training:
-        mean = np.einsum("ncp->c", flat) / count
-        xhat = flat - mean[:, None]
+        shift = np.einsum("ncp->c", flat) / count
+        xhat = flat - shift[:, None]
         var = np.einsum("ncp,ncp->c", xhat, xhat) / count
         if running is not None and _recording:
-            running.update(mean, var)
+            running.update(shift, var)
     else:
         if running is None:
             raise ValueError("inference-mode batch_norm2d needs running stats")
-        xhat = flat - running.mean[:, None]
+        # a copy: loading a checkpoint writes the running stats in place
+        shift = running.mean.copy()
+        xhat = flat - shift[:, None]
         var = running.var
 
     inv = 1.0 / np.sqrt(var + eps)
@@ -709,6 +734,9 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5,
 
     def vjp(g):
         g = g.reshape(n, c, f * t)
+        # the forward's xhat, rebuilt from the input with the same arithmetic
+        xhat = x.data.reshape(n, c, f * t) - shift[:, None]
+        xhat *= inv[:, None]
         # Ioffe & Szegedy 2015: the beta and gamma gradients are also the two
         # per-channel sums the batch-statistics input gradient needs
         sum_g = np.einsum("ncp->c", g)

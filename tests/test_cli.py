@@ -549,6 +549,40 @@ class TestExitCodes:
         assert not glob.glob(os.path.join(micro_corpus, "fbank_cache_*"))
         assert not os.path.exists(doc["out_dir"])
 
+    @pytest.mark.parametrize("field,value", [("num_speakers", 0), ("utts_per_speaker", 0),
+                                             ("duration_s", 0)])
+    def test_nonpositive_corpus_size_is_config_error(self, tmp_path, capsys, field, value):
+        path, doc = micro_config(tmp_path)
+        doc["data"][field] = value
+        with open(path, "w") as f:
+            json.dump(doc, f)
+        assert cli.main(["synth-data", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"data.{field}" in err
+        assert not os.path.exists(doc["data"]["data_dir"])
+
+    # a 0xff byte can start no UTF-8 sequence
+    @pytest.mark.parametrize("loader,code", [("manifest", 2), ("trials", 2), ("scores", 2),
+                                             ("config", 1)])
+    def test_invalid_utf8_is_data_or_config_error(self, tmp_path, capsys, loader, code):
+        path, doc = micro_config(tmp_path)
+        trials, scores = str(tmp_path / "trials.txt"), str(tmp_path / "scores.txt")
+        with open(trials, "w") as f:
+            f.write("1 a b\n0 a c\n")
+        with open(scores, "w") as f:
+            f.write("a b 0.9\na c 0.1\n")
+        bad = {"manifest": os.path.join(doc["data"]["data_dir"], train.TRAIN_MANIFEST),
+               "trials": trials, "scores": scores, "config": path}[loader]
+        os.makedirs(os.path.dirname(bad), exist_ok=True)
+        with open(bad, "wb") as f:
+            f.write(b"spk000 wav/\xff.wav\n")
+        argv = (["train", "--config", path] if loader in ("manifest", "config")
+                else ["score", "--trials", trials, "--scores", scores])
+        assert cli.main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith("data error:" if code == 2 else "config error:")
+        assert "not UTF-8 text" in err and "Traceback" not in err
+
     def test_unknown_command_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate"])

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 import weakref
 import zlib
 
@@ -494,6 +495,66 @@ class TestBackward:
         T.mul(h, h).sum().backward()
         np.testing.assert_allclose(h.grad, 2 * h.data)
         np.testing.assert_allclose(x.grad, 18 * x.data)
+
+
+class TestTapeMemory:
+    """Recording an op keeps its output and a few per-channel vectors, no
+    array that the inputs' data determine: the VJP rebuilds those."""
+
+    SLACK = 32 * 1024  # closure, tensor and per-channel vectors; inputs are 256 KiB
+
+    @staticmethod
+    def _kept_beyond_output(op):
+        op()  # fill the per-spec plan caches outside the trace
+        tracemalloc.start()
+        try:
+            out = op()
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        return kept - out.data.nbytes
+
+    def test_padded_conv2d(self):
+        rng = np.random.default_rng(41)
+        x = T.Tensor(rng.normal(size=(4, 8, 32, 32)), requires_grad=True)
+        w = T.Tensor(rng.normal(size=(8, 8, 3, 3)), requires_grad=True)
+        assert self._kept_beyond_output(lambda: T.conv2d(x, w, (1, 1), (1, 1))) < self.SLACK
+
+    def test_training_batch_norm2d(self):
+        rng = np.random.default_rng(42)
+        x = T.Tensor(rng.normal(size=(4, 8, 32, 32)), requires_grad=True)
+        gamma, beta = (T.Tensor(rng.normal(size=8), requires_grad=True) for _ in range(2))
+        assert self._kept_beyond_output(lambda: T.batch_norm2d(x, gamma, beta)) < self.SLACK
+
+    def test_standardize_over(self):
+        x = T.Tensor(np.random.default_rng(43).normal(size=(4, 8, 32, 32)), requires_grad=True)
+        assert self._kept_beyond_output(lambda: T.standardize_over(x, (2, 3), 1e-24, 1e-5)) < self.SLACK
+
+    def test_eval_batch_norm2d_gradients_ignore_a_later_running_update(self):
+        rng = np.random.default_rng(44)
+        x, g = rng.normal(size=(3, 2, 4, 5)), rng.normal(size=(3, 2, 4, 5))
+        gamma, beta = rng.normal(size=2), rng.normal(size=2)
+        batch = T.Tensor(rng.normal(loc=3.0, size=(3, 2, 4, 5)))
+
+        def grads(between):
+            running = T.RunningStats(2)
+            running.mean = np.array([0.5, -1.0])
+            running.var = np.array([2.0, 0.5])
+            xt, gt, bt = (T.Tensor(a, requires_grad=True) for a in (x, gamma, beta))
+            y = T.batch_norm2d(xt, gt, bt, training=False, running=running)
+            between(running)
+            T.mul(y, T.Tensor(g)).sum().backward()
+            return xt.grad, gt.grad, bt.grad
+
+        def update(running):
+            # a checkpoint load writes the stats in place; a training batch replaces them
+            running.mean[...] = 7.0
+            running.var[...] = 9.0
+            T.batch_norm2d(batch, T.Tensor(np.ones(2)), T.Tensor(np.zeros(2)), running=running)
+
+        for got, want in zip(grads(update), grads(lambda running: None)):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestNoGrad:
