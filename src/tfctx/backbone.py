@@ -50,11 +50,12 @@ class Conv2dLayer:
 
 
 class BatchNormLayer:
-    def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.1):
+    EPS = 1e-5
+
+    def __init__(self, channels: int):
         self.gamma = Tensor(np.ones(channels), requires_grad=True)
         self.beta = Tensor(np.zeros(channels), requires_grad=True)
-        self.running = RunningStats(channels, momentum)
-        self.eps = eps
+        self.running = RunningStats(channels)
 
     def named_parameters(self, prefix):
         return [(f"{prefix}.gamma", self.gamma), (f"{prefix}.beta", self.beta)]
@@ -64,7 +65,7 @@ class BatchNormLayer:
                 (f"{prefix}.running_var", self.running.var)]
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
-        return T.batch_norm2d(x, self.gamma, self.beta, self.eps, training, self.running)
+        return T.batch_norm2d(x, self.gamma, self.beta, self.EPS, training, self.running)
 
 
 class ResidualBlock:
@@ -188,7 +189,6 @@ class Embedder:
                 if bi == 0:
                     f = _conv_out(f, stride)
             self.stages.append(stage)
-        self.final_f = f
         self.frame_dim = stage_channels[-1] * f
 
         self.pool = AttentiveStatsPool(self.frame_dim, asp_hidden, rng)

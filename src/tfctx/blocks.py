@@ -132,8 +132,6 @@ class FcChannelTransform:
         width = channels // reduction
         if width < 1:
             raise ShapeError(f"reduction {reduction} leaves no bottleneck width for C={channels}")
-        self.reduction = reduction
-        self.width = width
         self.w_in = Tensor(rng.normal(0.0, math.sqrt(2.0 / channels) / input_scale,
                                       (width, channels)), requires_grad=True)
         self.w_out = Tensor(rng.normal(0.0, 1.0 / math.sqrt(width), (channels, width)),
@@ -149,7 +147,9 @@ class FcChannelTransform:
 
 class Conv1dChannelTransform:
     """Channel mixing by a short 1D convolution along the channel axis,
-    ``eca_kernel_size(C)`` taps wide."""
+    ``eca_kernel_size(C)`` taps wide, zero-padded to keep C outputs. It runs
+    as one ``conv2d`` of the (N, 1, 1, C) view of the context with a
+    (1, 1, 1, k) kernel, so tap j weighs channel c + j - k // 2."""
 
     def __init__(self, channels: int, rng: np.random.Generator | None = None,
                  input_scale: float = 1.0):
@@ -162,7 +162,11 @@ class Conv1dChannelTransform:
         return [(f"{prefix}.kernel", self.kernel)]
 
     def logits(self, context: Tensor) -> Tensor:
-        return T.conv1d_same(context, self.kernel)
+        n, c = context.shape
+        k = self.kernel.shape[0]
+        out = T.conv2d(T.reshape(context, (n, 1, 1, c)), T.reshape(self.kernel, (1, 1, 1, k)),
+                       (1, 1), (0, k // 2))
+        return T.reshape(out, (n, c))
 
 
 def channel_scale(feature_map: Tensor, gates: Tensor) -> Tensor:
@@ -271,8 +275,6 @@ class GcmBlock:
         rng = rng if rng is not None else np.random.default_rng(0)
         if kind not in self.CONTEXT_KINDS:
             raise ValueError(f"unknown context kind {kind!r}")
-        self.channels = channels
-        self.kind = kind
         self.context = None
         # DCT pooling hands the transform an unnormalized sum over the grid;
         # start the (learnable) transform at a matching scale

@@ -15,6 +15,7 @@ steps are linear, so this equals pooling the map to the grid first.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, field
 
@@ -35,7 +36,9 @@ class DctBasis:
     def build(cls, i: int, j: int, big_f: int, big_t: int) -> "DctBasis":
         fr = np.cos(np.pi * i * (np.arange(big_f) + 0.5) / big_f)
         tr = np.cos(np.pi * j * (np.arange(big_t) + 0.5) / big_t)
-        return cls(i, j, big_f, big_t, np.outer(fr, tr))
+        weights = np.outer(fr, tr)
+        weights.setflags(write=False)  # shared by every caller of the cached set
+        return cls(i, j, big_f, big_t, weights)
 
 
 @dataclass(frozen=True)
@@ -58,21 +61,16 @@ class DctBasisSet:
         """(K, F, T) array of the grids, in order."""
         return np.stack([b.weights for b in self.components])
 
+    @functools.lru_cache(maxsize=None)
     def pooled(self, f: int, t: int) -> np.ndarray:
         """(K, f, t) grids whose projection of an f x t map equals the
         projection of that map average-pooled to F x T: each grid pulled
         back through the two pool matrices, ``P_f.T @ grid @ P_t``. Exactly
         ``stacked()`` on the grid, where the pool matrices are identities.
         Built once per set and (f, t), C-contiguous and read-only."""
-        key = (self, f, t)
-        if key not in _POOLED_CACHE:
-            grids = _pool_matrix(f, self.big_f).T @ self.stacked() @ _pool_matrix(t, self.big_t)
-            grids.setflags(write=False)
-            _POOLED_CACHE[key] = grids
-        return _POOLED_CACHE[key]
-
-
-_POOLED_CACHE: dict[tuple[DctBasisSet, int, int], np.ndarray] = {}
+        grids = _pool_matrix(f, self.big_f).T @ self.stacked() @ _pool_matrix(t, self.big_t)
+        grids.setflags(write=False)
+        return grids
 
 
 def _pool_matrix(n_in: int, n_out: int) -> np.ndarray:
@@ -93,9 +91,7 @@ def component_order(big_f: int, big_t: int) -> list[tuple[int, int]]:
     return pairs
 
 
-_BASIS_CACHE: dict[tuple[int, int, int], DctBasisSet] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def build_basis_set(big_f: int, big_t: int, k: int) -> DctBasisSet:
     """First K components under the low-frequency-first order. Grids are
     computed once per (F, T, K) and cached; they are immutable afterwards."""
@@ -103,11 +99,8 @@ def build_basis_set(big_f: int, big_t: int, k: int) -> DctBasisSet:
         raise ValueError(f"grid extents must be positive, got {big_f}x{big_t}")
     if not 1 <= k <= big_f * big_t:
         raise ValueError(f"K={k} out of range [1, {big_f * big_t}] for a {big_f}x{big_t} grid")
-    key = (big_f, big_t, k)
-    if key not in _BASIS_CACHE:
-        comps = tuple(DctBasis.build(i, j, big_f, big_t) for i, j in component_order(big_f, big_t)[:k])
-        _BASIS_CACHE[key] = DctBasisSet(comps, big_f, big_t)
-    return _BASIS_CACHE[key]
+    comps = tuple(DctBasis.build(i, j, big_f, big_t) for i, j in component_order(big_f, big_t)[:k])
+    return DctBasisSet(comps, big_f, big_t)
 
 
 def export_basis_csv(big_f: int, big_t: int, k: int, out_dir: str) -> list[str]:

@@ -11,6 +11,7 @@ pick up directly.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import wave
@@ -37,23 +38,26 @@ class Waveform:
 def read_wav(path: str) -> Waveform:
     """16-bit PCM mono RIFF only; samples scaled by 1/32768."""
     try:
-        with wave.open(path, "rb") as f:
-            if f.getnchannels() != 1:
-                raise DataError(f"{path}: only mono is supported, got {f.getnchannels()} channels")
-            if f.getsampwidth() != 2:
-                raise DataError(f"{path}: only 16-bit PCM is supported, got {8 * f.getsampwidth()}-bit")
-            if f.getcomptype() != "NONE":
-                raise DataError(f"{path}: compressed WAV ({f.getcomptype()}) is not supported")
-            n = f.getnframes()
-            raw = f.readframes(n)
-            if len(raw) != 2 * n:
-                raise DataError(f"{path}: truncated file")
-            samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
-            return Waveform(samples, f.getframerate())
-    except wave.Error as exc:
-        raise DataError(f"{path}: not a readable RIFF/WAVE file ({exc})") from None
+        f = wave.open(path, "rb")
     except FileNotFoundError:
         raise DataError(f"audio file not found: {path}") from None
+    # besides wave.Error, a header cut short raises EOFError and a chunk
+    # size that runs past the file a bare RuntimeError
+    except (wave.Error, EOFError, RuntimeError) as exc:
+        raise DataError(f"{path}: not a readable RIFF/WAVE file ({exc!r})") from None
+    with f:
+        if f.getnchannels() != 1:
+            raise DataError(f"{path}: only mono is supported, got {f.getnchannels()} channels")
+        if f.getsampwidth() != 2:
+            raise DataError(f"{path}: only 16-bit PCM is supported, got {8 * f.getsampwidth()}-bit")
+        if f.getcomptype() != "NONE":
+            raise DataError(f"{path}: compressed WAV ({f.getcomptype()}) is not supported")
+        n = f.getnframes()
+        raw = f.readframes(n)
+        if len(raw) != 2 * n:
+            raise DataError(f"{path}: truncated file")
+        samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
+        return Waveform(samples, f.getframerate())
 
 
 def write_wav(path: str, samples: np.ndarray, sample_rate: int = 16000) -> None:
@@ -108,29 +112,23 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filterbank(cfg: FbankConfig) -> np.ndarray:
+@functools.lru_cache(maxsize=None)
+def mel_filterbank(sample_rate: int, n_mels: int, fft_size: int, f_min: float,
+                   f_max: float) -> np.ndarray:
     """(n_mels, fft_size//2 + 1) triangular weights, linear in Hz between
-    mel-spaced corner frequencies."""
-    mels = np.linspace(hz_to_mel(cfg.f_min), hz_to_mel(cfg.f_max), cfg.n_mels + 2)
+    mel-spaced corner frequencies. Built once per argument tuple and
+    read-only."""
+    mels = np.linspace(hz_to_mel(f_min), hz_to_mel(f_max), n_mels + 2)
     corners = mel_to_hz(mels)
-    bin_hz = np.arange(cfg.fft_size // 2 + 1) * cfg.sample_rate / cfg.fft_size
-    weights = np.zeros((cfg.n_mels, bin_hz.size))
-    for m in range(cfg.n_mels):
+    bin_hz = np.arange(fft_size // 2 + 1) * sample_rate / fft_size
+    weights = np.zeros((n_mels, bin_hz.size))
+    for m in range(n_mels):
         left, center, right = corners[m], corners[m + 1], corners[m + 2]
         up = (bin_hz - left) / (center - left)
         down = (right - bin_hz) / (right - center)
         weights[m] = np.clip(np.minimum(up, down), 0.0, None)
+    weights.setflags(write=False)
     return weights
-
-
-_FBANK_CACHE: dict[tuple, np.ndarray] = {}
-
-
-def _cached_filterbank(cfg: FbankConfig) -> np.ndarray:
-    key = (cfg.sample_rate, cfg.n_mels, cfg.fft_size, cfg.f_min, cfg.f_max)
-    if key not in _FBANK_CACHE:
-        _FBANK_CACHE[key] = mel_filterbank(cfg)
-    return _FBANK_CACHE[key]
 
 
 def compute_fbank(wave_in: Waveform, cfg: FbankConfig) -> np.ndarray:
@@ -146,7 +144,7 @@ def compute_fbank(wave_in: Waveform, cfg: FbankConfig) -> np.ndarray:
     frames = np.lib.stride_tricks.sliding_window_view(x, win)[::hop][:n_frames]
     spectrum = np.fft.rfft(frames * np.hamming(win), n=cfg.fft_size)
     power = spectrum.real ** 2 + spectrum.imag ** 2
-    energies = power @ _cached_filterbank(cfg).T
+    energies = power @ mel_filterbank(cfg.sample_rate, cfg.n_mels, cfg.fft_size, cfg.f_min, cfg.f_max).T
     # contiguous result: downstream reductions must accumulate in the same
     # order whether the fbank was just computed or reloaded from cache
     return np.ascontiguousarray(np.log(np.maximum(energies, cfg.log_floor)).T)
@@ -210,12 +208,15 @@ def make_speaker_spec(index: int, seed: int) -> SyntheticSpeakerSpec:
         noise_level=rng.uniform(0.005, 0.02))
 
 
+# top of a synthetic voice's harmonics, above every speaker resonance (< 3400 Hz)
+MAX_HARMONIC_HZ = 4200.0
+
+
 def synth_utterance(spec: SyntheticSpeakerSpec, utt_index: int, seed: int,
-                    duration_s: float, sample_rate: int = 16000,
-                    max_harmonic_hz: float = 4200.0) -> np.ndarray:
+                    duration_s: float, sample_rate: int = 16000) -> np.ndarray:
     """Harmonic source with vibrato and slow amplitude modulation, filtered
     by the speaker's resonance envelope, plus noise. Harmonics stop at
-    ``max_harmonic_hz`` and below Nyquist at the vibrato's peak, so none
+    ``MAX_HARMONIC_HZ`` and below Nyquist at the vibrato's peak, so none
     aliases. Deterministic in (seed, speaker, utterance)."""
     rng = np.random.default_rng([seed, int(spec.speaker_id[3:]), utt_index])
     n = int(round(duration_s * sample_rate))
@@ -228,7 +229,7 @@ def synth_utterance(spec: SyntheticSpeakerSpec, utt_index: int, seed: int,
     inst_freq = f0 * (1.0 + vib_depth * np.sin(2 * math.pi * vib_rate * t + vib_phase))
     phase = 2 * math.pi * np.cumsum(inst_freq) / sample_rate
 
-    top_hz = min(max_harmonic_hz, sample_rate / 2 / (1.0 + vib_depth))
+    top_hz = min(MAX_HARMONIC_HZ, sample_rate / 2 / (1.0 + vib_depth))
     n_harm = max(1, int(top_hz / f0))
     h = np.arange(1, n_harm + 1)
     amps = spec.envelope(h * f0) / np.sqrt(h)
@@ -279,22 +280,26 @@ def write_manifest(path: str, entries) -> None:
             f.write(f"{speaker_id} {rel}\n")
 
 
-def read_manifest(path: str) -> list[tuple[str, str]]:
-    entries = []
+def _read_records(path: str, what: str) -> list[tuple[int, list[str]]]:
+    """(line number, whitespace-split fields) of each non-blank line of a
+    UTF-8 text file. A missing file, bad UTF-8 or a file with no records
+    raises DataError, naming the file as ``what``."""
     try:
         with open(path, encoding="utf-8") as f:
-            for line_no, line in enumerate(f, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split()
-                if len(parts) != 2:
-                    raise DataError(f"{path}:{line_no}: expected 'speaker_id path', got {line!r}")
-                entries.append((parts[0], parts[1]))
+            records = [(line_no, line.split()) for line_no, line in enumerate(f, 1) if line.strip()]
     except FileNotFoundError:
-        raise DataError(f"manifest not found: {path}") from None
+        raise DataError(f"{what} not found: {path}") from None
     except UnicodeDecodeError as exc:
-        raise DataError(f"manifest {path} is not UTF-8 text ({exc.reason})") from None
-    if not entries:
-        raise DataError(f"manifest is empty: {path}")
+        raise DataError(f"{what} {path} is not UTF-8 text ({exc.reason})") from None
+    if not records:
+        raise DataError(f"{what} is empty: {path}")
+    return records
+
+
+def read_manifest(path: str) -> list[tuple[str, str]]:
+    entries = []
+    for line_no, fields in _read_records(path, "manifest"):
+        if len(fields) != 2:
+            raise DataError(f"{path}:{line_no}: expected 'speaker_id path', got {len(fields)} fields")
+        entries.append((fields[0], fields[1]))
     return entries

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
+from .features import _read_records
 
 
 @dataclass(frozen=True)
@@ -60,33 +61,28 @@ def cosine_score(e1: np.ndarray, e2: np.ndarray) -> float:
     return float(e1 @ e2)
 
 
-def _rates_at(thresholds: np.ndarray, target_scores: np.ndarray,
-              nontarget_scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """FAR and FRR at each threshold; both score arrays must be sorted."""
-    far = (nontarget_scores.size - np.searchsorted(nontarget_scores, thresholds, side="left")) \
-        / nontarget_scores.size
-    frr = np.searchsorted(target_scores, thresholds, side="left") / target_scores.size
-    return far, frr
-
-
-def _split_scores(trials: TrialSet, scores: np.ndarray):
+def _operating_points(trials: TrialSet, scores: np.ndarray):
+    """(thresholds, FAR, FRR) over the sweep ``[-inf, *unique(scores), inf]``,
+    by increasing threshold, for validated scores."""
     target = np.sort(scores[trials.labels == 1])
     nontarget = np.sort(scores[trials.labels == 0])
-    return target, nontarget
+    thresholds = np.concatenate([[-np.inf], np.unique(scores), [np.inf]])
+    far = (nontarget.size - np.searchsorted(nontarget, thresholds, side="left")) / nontarget.size
+    frr = np.searchsorted(target, thresholds, side="left") / target.size
+    return thresholds, far, frr
 
 
 def compute_eer(trials: TrialSet, scores) -> tuple[float, float]:
     """Equal error rate and its threshold.
 
-    The sweep walks thresholds upward; FAR - FRR starts at +1 and ends at
-    -1, so a sign change always exists. An exact zero gives the EER
-    directly, otherwise the two straddling (FAR, FRR) points are joined and
-    intersected with the FAR = FRR diagonal.
+    The sweep walks thresholds upward from the lowest observed score;
+    FAR - FRR starts at +1 and ends at -1, so a sign change always exists.
+    An exact zero gives the EER directly, otherwise the two straddling
+    (FAR, FRR) points are joined and intersected with the FAR = FRR
+    diagonal.
     """
     scores = _validate_scores(trials, scores)
-    target, nontarget = _split_scores(trials, scores)
-    thresholds = np.concatenate([np.unique(scores), [np.inf]])
-    far, frr = _rates_at(thresholds, target, nontarget)
+    thresholds, far, frr = (a[1:] for a in _operating_points(trials, scores))
     diff = far - frr
 
     below = np.flatnonzero(diff <= 0.0)
@@ -102,16 +98,20 @@ def compute_eer(trials: TrialSet, scores) -> tuple[float, float]:
     return eer, threshold
 
 
-def compute_min_dcf(trials: TrialSet, scores, p_target: float = 0.01,
-                    c_miss: float = 1.0, c_fa: float = 1.0) -> tuple[float, float]:
-    """Minimum detection cost over observed thresholds plus both infinite
-    sentinels, normalized by the better of the two default decisions."""
+# NIST SRE-style operating point of the normalized detection cost
+P_TARGET = 0.01
+C_MISS = 1.0
+C_FA = 1.0
+
+
+def compute_min_dcf(trials: TrialSet, scores) -> tuple[float, float]:
+    """Minimum detection cost at (P_TARGET, C_MISS, C_FA) over observed
+    thresholds plus both infinite sentinels, normalized by the better of
+    the two default decisions."""
     scores = _validate_scores(trials, scores)
-    target, nontarget = _split_scores(trials, scores)
-    thresholds = np.concatenate([[-np.inf], np.unique(scores), [np.inf]])
-    far, frr = _rates_at(thresholds, target, nontarget)
-    dcf = c_miss * p_target * frr + c_fa * (1.0 - p_target) * far
-    dcf /= min(c_miss * p_target, c_fa * (1.0 - p_target))
+    thresholds, far, frr = _operating_points(trials, scores)
+    dcf = C_MISS * P_TARGET * frr + C_FA * (1.0 - P_TARGET) * far
+    dcf /= min(C_MISS * P_TARGET, C_FA * (1.0 - P_TARGET))
     i = int(np.argmin(dcf))
     return float(dcf[i]), float(thresholds[i])
 
@@ -120,10 +120,8 @@ def det_points(trials: TrialSet, scores) -> list[tuple[float, float]]:
     """(FAR, FRR) at every distinct observed score, by increasing
     threshold."""
     scores = _validate_scores(trials, scores)
-    target, nontarget = _split_scores(trials, scores)
-    thresholds = np.unique(scores)
-    far, frr = _rates_at(thresholds, target, nontarget)
-    return list(zip(far.tolist(), frr.tolist()))
+    _, far, frr = _operating_points(trials, scores)
+    return list(zip(far[1:-1].tolist(), frr[1:-1].tolist()))
 
 
 # -- trial generation and file formats ---------------------------------------------
@@ -178,24 +176,12 @@ def write_trials(path: str, trials: TrialSet) -> None:
 
 def read_trials(path: str) -> TrialSet:
     labels, enrolls, tests = [], [], []
-    try:
-        with open(path, encoding="utf-8") as f:
-            for line_no, line in enumerate(f, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split()
-                if len(parts) != 3 or parts[0] not in ("0", "1"):
-                    raise DataError(f"{path}:{line_no}: expected 'label(1|0) enroll_id test_id'")
-                labels.append(int(parts[0]))
-                enrolls.append(parts[1])
-                tests.append(parts[2])
-    except FileNotFoundError:
-        raise DataError(f"trial list not found: {path}") from None
-    except UnicodeDecodeError as exc:
-        raise DataError(f"trial list {path} is not UTF-8 text ({exc.reason})") from None
-    if not labels:
-        raise DataError(f"trial list is empty: {path}")
+    for line_no, fields in _read_records(path, "trial list"):
+        if len(fields) != 3 or fields[0] not in ("0", "1"):
+            raise DataError(f"{path}:{line_no}: expected 'label(1|0) enroll_id test_id'")
+        labels.append(int(fields[0]))
+        enrolls.append(fields[1])
+        tests.append(fields[2])
     return TrialSet(np.array(labels), tuple(enrolls), tuple(tests))
 
 
@@ -208,25 +194,13 @@ def write_scores(path: str, trials: TrialSet, scores) -> None:
 
 def read_scores(path: str) -> list[tuple[str, str, float]]:
     out = []
-    try:
-        with open(path, encoding="utf-8") as f:
-            for line_no, line in enumerate(f, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split()
-                if len(parts) != 3:
-                    raise DataError(f"{path}:{line_no}: expected 'enroll_id test_id score'")
-                try:
-                    out.append((parts[0], parts[1], float(parts[2])))
-                except ValueError:
-                    raise DataError(f"{path}:{line_no}: bad score {parts[2]!r}") from None
-    except FileNotFoundError:
-        raise DataError(f"score file not found: {path}") from None
-    except UnicodeDecodeError as exc:
-        raise DataError(f"score file {path} is not UTF-8 text ({exc.reason})") from None
-    if not out:
-        raise DataError(f"score file is empty: {path}")
+    for line_no, fields in _read_records(path, "score file"):
+        if len(fields) != 3:
+            raise DataError(f"{path}:{line_no}: expected 'enroll_id test_id score'")
+        try:
+            out.append((fields[0], fields[1], float(fields[2])))
+        except ValueError:
+            raise DataError(f"{path}:{line_no}: bad score {fields[2]!r}") from None
     return out
 
 

@@ -36,13 +36,13 @@ Stored values are required to be finite. A NaN or Inf anywhere raises
 silently. The check (``_all_finite``, one sum in the common case) runs on
 every ``Tensor(...)`` and on the output of every op that can turn finite
 inputs into a non-finite value: ``add``, ``mul``, ``div``, ``sqrt``, the
-sum and mean reductions, the contractions, ``conv2d``, ``conv1d_same``,
-``batch_norm2d``, ``cross_entropy`` and ``standardize_over``. The ops whose
-output is finite whenever their inputs are skip it: ``reshape``,
-``narrow``, ``concat``, ``clamp_min`` with a finite floor, ``tanh``,
-``sigmoid``, ``softmax_over`` and the max reduction. A constant operand of
-``add`` or ``mul`` is not checked on its own either: a non-finite one
-makes the op's output non-finite.
+sum and mean reductions, the contractions, ``conv2d``, ``batch_norm2d``,
+``cross_entropy`` and ``standardize_over``. The ops whose output is
+finite whenever their inputs are skip it: ``reshape``, ``narrow``,
+``concat``, ``clamp_min`` with a finite floor, ``tanh``, ``sigmoid``,
+``softmax_over`` and the max reduction. A constant operand of ``add`` or
+``mul`` is not checked on its own either: a non-finite one makes the op's
+output non-finite.
 """
 
 from __future__ import annotations
@@ -655,28 +655,6 @@ def conv2d(x: Tensor, weight: Tensor, stride: tuple[int, int], padding: tuple[in
             x._accumulate(dxp[:, :, pf: pf + f, pt: pt + t])
 
     return Tensor._from_op(out, (x, weight), vjp)
-
-
-def conv1d_same(x: Tensor, kernel: Tensor) -> Tensor:
-    """Same-size 1D correlation along the last axis of a (N, C) tensor,
-    zero-padded; kernel length must be odd."""
-    (k,) = kernel.shape
-    if k % 2 == 0:
-        raise ShapeError(f"conv1d_same kernel length must be odd, got {k}")
-    p = k // 2
-    xp = np.pad(x.data, ((0, 0), (p, p)))
-    windows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=1)  # (N, C, k)
-    y = windows @ kernel.data
-
-    def vjp(g):
-        if kernel.requires_grad:
-            kernel._accumulate(np.einsum("nck,nc->k", windows, g))
-        if x.requires_grad:
-            gp = np.pad(g, ((0, 0), (p, p)))
-            gwin = np.lib.stride_tricks.sliding_window_view(gp, k, axis=1)
-            x._accumulate(gwin @ kernel.data[::-1].copy())
-
-    return Tensor._from_op(y, (x, kernel), vjp)
 
 
 class RunningStats:

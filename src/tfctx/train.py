@@ -265,15 +265,19 @@ def load_embedder(checkpoint_path: str) -> tuple[backbone.Embedder, RunConfig]:
     return embedder, cfg
 
 
-def extract_embeddings(cfg: RunConfig, embedder: backbone.Embedder, rel_paths,
-                       batch_size: int = 32) -> dict[str, np.ndarray]:
+# utterances per eval-mode forward pass
+EMBED_BATCH = 32
+
+
+def extract_embeddings(cfg: RunConfig, embedder: backbone.Embedder,
+                       rel_paths) -> dict[str, np.ndarray]:
     """Frozen-parameter center-chunk embeddings for each unique path."""
     unique = sorted(set(rel_paths))
     feats = load_features(cfg, unique)
     chunk = cfg.features.chunk
     out = {}
-    for i in range(0, len(unique), batch_size):
-        group = unique[i: i + batch_size]
+    for i in range(0, len(unique), EMBED_BATCH):
+        group = unique[i: i + EMBED_BATCH]
         maps = np.stack([features.chunk_frames(feats[rel], chunk, "center") for rel in group])
         emb = embedder.embed(Tensor(maps[:, None, :, :]), training=False)
         for rel, vec in zip(group, emb.data):

@@ -1,7 +1,7 @@
 """Helpers shared by the tests: pointwise DCT oracles (a single basis-grid
 entry from the closed form, the projection of one channel map onto a grid,
-cell-by-cell adaptive average pooling) and a checkpoint with a forged header
-field."""
+cell-by-cell adaptive average pooling), a loop over the taps of the ECA
+channel convolution and a checkpoint with a forged header field."""
 
 import json
 import math
@@ -42,6 +42,22 @@ def adaptive_avg_pool(channel_map: np.ndarray, out_f: int, out_t: int) -> np.nda
         for b in range(out_t):
             t0, t1 = b * big_t // out_t, math.ceil((b + 1) * big_t / out_t)
             out[a, b] = channel_map[f0:f1, t0:t1].mean()
+    return out
+
+
+def channel_correlation(context: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Zero-padded same-size correlation of each (C,) row of an (N, C)
+    context with an odd-length kernel: out[n, c] is the sum over taps j of
+    kernel[j] * context[n, c + j - k // 2], with zeros past either end."""
+    n, c = context.shape
+    (k,) = kernel.shape
+    out = np.zeros((n, c))
+    for ni in range(n):
+        for ci in range(c):
+            for j in range(k):
+                src = ci + j - k // 2
+                if 0 <= src < c:
+                    out[ni, ci] += kernel[j] * context[ni, src]
     return out
 
 

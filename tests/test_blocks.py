@@ -8,7 +8,7 @@ from tfctx import tensor as T
 from tfctx.errors import ShapeError
 from tfctx.tensor import Tensor
 
-from oracles import adaptive_avg_pool, dct2_pool
+from oracles import adaptive_avg_pool, channel_correlation, dct2_pool
 
 
 # test ids name each kind by its context: global average pooling, attention
@@ -118,6 +118,32 @@ class TestChannelExcite:
         g = rng_map((1, 64), seed=6)
         out = T.sigmoid(tr.logits(Tensor(g)))
         np.testing.assert_allclose(out.data, 1 / (1 + np.exp(-g)), atol=1e-12)
+
+    # an asymmetric kernel: a flipped (convolution) direction or a shifted
+    # tap would move every output
+    @pytest.mark.parametrize("channels,taps", [(64, [0.5, -1.25, 2.0]),
+                                               (256, [0.5, -1.25, 2.0, 0.75, -3.0])])
+    def test_conv1d_matches_loop_oracle(self, channels, taps):
+        tr = blocks.Conv1dChannelTransform(channels, rng=np.random.default_rng(11))
+        assert tr.kernel.shape == (len(taps),)
+        tr.kernel.data[:] = taps
+        g = rng_map((2, channels), seed=8)
+        np.testing.assert_allclose(tr.logits(Tensor(g)).data,
+                                   channel_correlation(g, np.array(taps)), rtol=0, atol=1e-12)
+
+    def test_conv1d_gradients_at_three_taps(self):
+        tr = blocks.Conv1dChannelTransform(64, rng=np.random.default_rng(12))
+        assert tr.kernel.shape == (3,)
+        x = rng_map((2, 64), seed=9)
+        target = Tensor(rng_map((2, 64), seed=10))
+
+        def loss_of(t):
+            return T.mul(T.tanh(tr.logits(t)), target).sum()
+
+        assert T.finite_diff_check(loss_of, Tensor(x)) < 1e-6
+        fixed = Tensor(x)
+        errors = T.finite_diff_check_params(lambda: loss_of(fixed), tr.named_parameters())
+        assert errors["conv1d.kernel"] < 1e-6
 
     def test_fc_matches_matrix_loop_oracle(self):
         tr = blocks.FcChannelTransform(32, reduction=16, rng=np.random.default_rng(10))

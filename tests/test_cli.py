@@ -583,6 +583,24 @@ class TestExitCodes:
         assert err.startswith("data error:" if code == 2 else "config error:")
         assert "not UTF-8 text" in err and "Traceback" not in err
 
+    # a zero-byte file, a header cut inside the fmt chunk, and a fmt chunk
+    # size (byte 17) that runs past the file
+    @pytest.mark.parametrize("damage", [lambda raw: b"", lambda raw: raw[:24],
+                                        lambda raw: raw[:17] + b"\x7c" + raw[18:]],
+                             ids=["empty", "cut_header", "fmt_size"])
+    def test_damaged_wav_is_data_error(self, tmp_path, capsys, damage):
+        path, doc = micro_config(tmp_path)
+        assert cli.main(["synth-data", "--config", path]) == 0
+        manifest = features.read_manifest(os.path.join(doc["data"]["data_dir"], train.TRAIN_MANIFEST))
+        wav = os.path.join(doc["data"]["data_dir"], manifest[0][1])
+        raw = open(wav, "rb").read()
+        with open(wav, "wb") as f:
+            f.write(damage(raw))
+        capsys.readouterr()
+        assert cli.main(["train", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "RIFF/WAVE" in err and "Traceback" not in err
+
     def test_unknown_command_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate"])

@@ -50,6 +50,14 @@ class TestBuildBasisSet:
     def test_2x2_full(self):
         assert dct.build_basis_set(2, 2, 4).index_pairs == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
+    def test_cached_set_is_read_only(self):
+        # every caller of one (F, T, K) shares the set, so a write to one
+        # caller's grid would change every other caller's pooling
+        s = dct.build_basis_set(2, 3, 2)
+        assert dct.build_basis_set(2, 3, 2) is s
+        with pytest.raises(ValueError):
+            s.components[1].weights[0, 0] = 5.0
+
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
             dct.build_basis_set(2, 3, 7)

@@ -709,7 +709,6 @@ class TestEveryDifferentiableOp:
         ("concat", lambda t, c: T.mul(T.concat([t, c], 1), T.concat([c, t], 1)).sum(), (3, 4)),
         ("cross_entropy", lambda t, c: T.cross_entropy(t, [2, 0, 3]), (3, 4)),
         ("einsum2", lambda t, c: T.einsum2("ab,cb->ac", t, c).sum(), (3, 4)),
-        ("conv1d_same", lambda t, c: T.mul(T.conv1d_same(t, T.Tensor([0.25, -1.0, 0.5])), c).sum(), (3, 4)),
         ("standardize_over", lambda t, c: T.mul(T.standardize_over(t, (1,), 1e-24, 1e-5), c).sum(), (3, 4)),
     ])
     def test_primitive(self, name, fn, shape):
@@ -823,7 +822,6 @@ class TestFinitePolicy:
         lambda: T.reduce(T.Tensor([[1e308, 1e308]]), (1,), "mean"),
         lambda: T.linear(T.Tensor([[1e308, 1e308]]), T.Tensor([[1.0, 1.0]])),
         lambda: T.conv2d(T.Tensor(np.full((1, 1, 1, 2), 1e308)), T.Tensor(np.ones((1, 1, 1, 2))), (1, 1), (0, 0)),
-        lambda: T.conv1d_same(T.Tensor([[1e308, 1e308, 1e308]]), T.Tensor([1.0, 1.0, 1.0])),
         lambda: T.batch_norm2d(T.Tensor(np.full((2, 1, 1, 1), 1e308)), T.Tensor([1.0]), T.Tensor([0.0])),
         lambda: T.cross_entropy(T.Tensor([[1e308, -1e308]]), [1]),
         lambda: T.standardize_over(T.Tensor([[2.0, 2.0]]), (1,), 0.0, 0.0),
@@ -833,7 +831,7 @@ class TestFinitePolicy:
         lambda: T.mul(T.Tensor([1.0, 2.0]), float("nan")),
         lambda: T.clamp_min(T.Tensor([1.0, 2.0]), float("inf")),
     ], ids=["nan", "inf", "-inf", "inf_and_-inf", "inf_and_-inf_contracted",
-            "add", "div", "sum", "mean", "linear", "conv2d", "conv1d_same", "batch_norm2d",
+            "add", "div", "sum", "mean", "linear", "conv2d", "batch_norm2d",
             "cross_entropy", "standardize_over",
             "add_inf_constant", "add_nan_constant", "mul_inf_constant", "mul_nan_constant",
             "clamp_min_inf_floor"])
