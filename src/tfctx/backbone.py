@@ -24,12 +24,12 @@ import numpy as np
 from . import blocks
 from . import tensor as T
 from .errors import DataError, NumericalError, ShapeError
-from .tensor import RunningStats, Tensor
+from .tensor import Module, RunningStats, Tensor
 
 INSERTION_POSITIONS = ("after_bn", "before_bn", "before_conv")
 
 
-class Conv2dLayer:
+class Conv2dLayer(Module):
     """Bias-free square-kernel conv; the batch norm after it supplies the
     shift."""
 
@@ -42,14 +42,11 @@ class Conv2dLayer:
         self.weight = Tensor(rng.normal(0.0, math.sqrt(2.0 / fan_in), (cout, cin, kernel, kernel)),
                              requires_grad=True)
 
-    def named_parameters(self, prefix):
-        return [(f"{prefix}.weight", self.weight)]
-
     def __call__(self, x: Tensor) -> Tensor:
         return T.conv2d(x, self.weight, self.stride, self.padding)
 
 
-class BatchNormLayer:
+class BatchNormLayer(Module):
     EPS = 1e-5
 
     def __init__(self, channels: int):
@@ -57,18 +54,11 @@ class BatchNormLayer:
         self.beta = Tensor(np.zeros(channels), requires_grad=True)
         self.running = RunningStats(channels)
 
-    def named_parameters(self, prefix):
-        return [(f"{prefix}.gamma", self.gamma), (f"{prefix}.beta", self.beta)]
-
-    def named_state(self, prefix):
-        return [(f"{prefix}.running_mean", self.running.mean),
-                (f"{prefix}.running_var", self.running.var)]
-
     def __call__(self, x: Tensor, training: bool) -> Tensor:
         return T.batch_norm2d(x, self.gamma, self.beta, self.EPS, training, self.running)
 
 
-class ResidualBlock:
+class ResidualBlock(Module):
     """conv-bn-relu-conv-bn with an optional context block at the configured
     position (read only when a block is present), then the skip connection
     (1x1 projection on shape change)."""
@@ -83,32 +73,15 @@ class ResidualBlock:
         self.bn1 = BatchNormLayer(cout)
         self.conv2 = Conv2dLayer(cout, cout, 3, (1, 1), (1, 1), rng=rng)
         self.bn2 = BatchNormLayer(cout)
-        self.gcm = gcm
-        self.insertion = insertion
         if stride != 1 or cin != cout:
             self.proj = Conv2dLayer(cin, cout, 1, (stride, stride), (0, 0), rng=rng)
             self.proj_bn = BatchNormLayer(cout)
         else:
             self.proj = None
             self.proj_bn = None
-
-    def named_parameters(self, prefix):
-        out = self.conv1.named_parameters(f"{prefix}.conv1")
-        out += self.bn1.named_parameters(f"{prefix}.bn1")
-        out += self.conv2.named_parameters(f"{prefix}.conv2")
-        out += self.bn2.named_parameters(f"{prefix}.bn2")
-        if self.proj is not None:
-            out += self.proj.named_parameters(f"{prefix}.proj")
-            out += self.proj_bn.named_parameters(f"{prefix}.proj_bn")
-        if self.gcm is not None:
-            out += self.gcm.named_parameters(f"{prefix}.gcm")
-        return out
-
-    def named_state(self, prefix):
-        out = self.bn1.named_state(f"{prefix}.bn1") + self.bn2.named_state(f"{prefix}.bn2")
-        if self.proj_bn is not None:
-            out += self.proj_bn.named_state(f"{prefix}.proj_bn")
-        return out
+        # assigned after the projection: checkpoints list the block's entries last
+        self.gcm = gcm
+        self.insertion = insertion
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
         branch = x
@@ -152,7 +125,7 @@ def _conv_out(n: int, stride: int) -> int:
     return (n + 2 - 3) // stride + 1
 
 
-class Embedder:
+class Embedder(Module):
     """Feature map (N, 1, F, T) -> unit-norm embedding (N, embed_dim)."""
 
     def __init__(self, mel_bins: int, stage_channels, blocks_per_stage, stage_strides,
@@ -196,22 +169,16 @@ class Embedder:
                                         (embed_dim, 2 * self.frame_dim)), requires_grad=True)
         self.head_b = Tensor(np.zeros(embed_dim), requires_grad=True)
 
-    def named_parameters(self):
-        out = self.stem.named_parameters("stem")
-        out += self.stem_bn.named_parameters("stem_bn")
+    def members(self):
+        # the blocks sit in nested lists, and the head keeps its dotted names
+        yield "stem", self.stem
+        yield "stem_bn", self.stem_bn
         for si, stage in enumerate(self.stages):
             for bi, block in enumerate(stage):
-                out += block.named_parameters(f"stage{si}.block{bi}")
-        out += self.pool.named_parameters("pool")
-        out += [("head.w", self.head_w), ("head.b", self.head_b)]
-        return out
-
-    def named_state(self):
-        out = self.stem_bn.named_state("stem_bn")
-        for si, stage in enumerate(self.stages):
-            for bi, block in enumerate(stage):
-                out += block.named_state(f"stage{si}.block{bi}")
-        return out
+                yield f"stage{si}.block{bi}", block
+        yield "pool", self.pool
+        yield "head.w", self.head_w
+        yield "head.b", self.head_b
 
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         """Copy parameters and batch-norm state from a checkpoint dict into

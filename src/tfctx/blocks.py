@@ -28,7 +28,7 @@ import numpy as np
 from . import tensor as T
 from .dct import DctBasisSet, build_basis_set
 from .errors import ShapeError
-from .tensor import Tensor
+from .tensor import Module, Tensor
 
 # -- context summaries ---------------------------------------------------------
 
@@ -38,7 +38,7 @@ def se_squeeze(feature_map: Tensor) -> Tensor:
     return T.reduce(feature_map, (2, 3), "mean")
 
 
-class AttentionContext:
+class AttentionContext(Module):
     """Query-independent attention pooling over all (f, t) locations.
 
     Scores come from a one-hidden-layer MLP on each C-dim local feature
@@ -58,10 +58,6 @@ class AttentionContext:
                                 requires_grad=True)
         self.score_bias = Tensor(np.zeros(1), requires_grad=True)
 
-    def named_parameters(self, prefix: str = "att"):
-        return [(f"{prefix}.proj", self.proj), (f"{prefix}.proj_bias", self.proj_bias),
-                (f"{prefix}.score_vec", self.score_vec), (f"{prefix}.score_bias", self.score_bias)]
-
     def weights(self, m: Tensor) -> Tensor:
         """(N, F, T) pooling weights; positive, summing to one per sample."""
         if m.shape[1] != self.channels:
@@ -80,7 +76,7 @@ class AttentionContext:
         return self.weighted_mean(self.weights(feature_map), feature_map)
 
 
-class MultiDctContext:
+class MultiDctContext(Module):
     """Fixed DCT-grid pooling: project each channel onto the K lowest grids
     and keep the per-channel maximum. A map whose extents differ from the
     grid is projected onto the grids pulled back through adaptive average
@@ -90,9 +86,6 @@ class MultiDctContext:
         if len(basis_set) == 0:
             raise ValueError("empty basis set")
         self.basis_set = basis_set
-
-    def named_parameters(self, prefix: str = "dct"):
-        return []
 
     def __call__(self, feature_map: Tensor) -> Tensor:
         grids = Tensor(self.basis_set.pooled(*feature_map.shape[2:]))
@@ -118,7 +111,7 @@ def eca_kernel_size(channels: int) -> int:
     return lo if (raw - lo) <= (hi - raw) else hi
 
 
-class FcChannelTransform:
+class FcChannelTransform(Module):
     """Two bias-free linear maps with a bottleneck of width C // r.
 
     ``input_scale`` shrinks the first layer's init when the upstream context
@@ -137,19 +130,18 @@ class FcChannelTransform:
         self.w_out = Tensor(rng.normal(0.0, 1.0 / math.sqrt(width), (channels, width)),
                             requires_grad=True)
 
-    def named_parameters(self, prefix: str = "fc"):
-        return [(f"{prefix}.w_in", self.w_in), (f"{prefix}.w_out", self.w_out)]
-
     def logits(self, context: Tensor) -> Tensor:
         hidden = T.clamp_min(T.linear(context, self.w_in), 0.0)
         return T.linear(hidden, self.w_out)
 
 
-class Conv1dChannelTransform:
+class Conv1dChannelTransform(Module):
     """Channel mixing by a short 1D convolution along the channel axis,
     ``eca_kernel_size(C)`` taps wide, zero-padded to keep C outputs. It runs
     as one ``conv2d`` of the (N, 1, 1, C) view of the context with a
     (1, 1, 1, k) kernel, so tap j weighs channel c + j - k // 2."""
+
+    PREFIX = "conv1d"
 
     def __init__(self, channels: int, rng: np.random.Generator | None = None,
                  input_scale: float = 1.0):
@@ -157,9 +149,6 @@ class Conv1dChannelTransform:
         k = eca_kernel_size(channels)
         self.kernel = Tensor(rng.normal(0.0, 1.0 / (math.sqrt(k) * input_scale), (k,)),
                              requires_grad=True)
-
-    def named_parameters(self, prefix: str = "conv1d"):
-        return [(f"{prefix}.kernel", self.kernel)]
 
     def logits(self, context: Tensor) -> Tensor:
         n, c = context.shape
@@ -179,7 +168,7 @@ def channel_scale(feature_map: Tensor, gates: Tensor) -> Tensor:
 # -- time-frequency enhancement --------------------------------------------------
 
 
-class TfeParams:
+class TfeParams(Module):
     """Group-wise enhancement parameters.
 
     One square mixing matrix per channel group, plus a scalar scale/shift
@@ -200,10 +189,6 @@ class TfeParams:
         self.mix = Tensor(rng.normal(0.0, 1.0 / math.sqrt(d), (n_groups, d, d)), requires_grad=True)
         self.scale = Tensor(np.full(n_groups, float(scale_init)), requires_grad=True)
         self.shift = Tensor(np.ones(n_groups), requires_grad=True)
-
-    def named_parameters(self, prefix: str = "tfe"):
-        return [(f"{prefix}.mix", self.mix), (f"{prefix}.scale", self.scale),
-                (f"{prefix}.shift", self.shift)]
 
 
 # Squared guards inside the square roots below; they keep a zero-context
@@ -255,7 +240,7 @@ def tfe_enhance(feature_map: Tensor, context: Tensor, params: TfeParams) -> Tens
 # -- composed block ----------------------------------------------------------------
 
 
-class GcmBlock:
+class GcmBlock(Module):
     """One recalibration block: context -> channel transform -> sigmoid gate
     -> per-channel scaling -> optional time-frequency enhancement.
 
@@ -266,6 +251,7 @@ class GcmBlock:
     """
 
     CONTEXT_KINDS = ("se", "att_gcm", "dct_gcm")
+    PREFIX = "gcm"
 
     def __init__(self, channels: int, kind: str = "se", transform: str = "fc",
                  reduction: int = 16, attention_hidden: int | None = None,
@@ -291,15 +277,6 @@ class GcmBlock:
         else:
             raise ValueError(f"unknown channel transform {transform!r}")
         self.tfe = TfeParams(channels, tfe_groups, tfe_scale_init, rng) if tfe else None
-
-    def named_parameters(self, prefix: str = "gcm"):
-        params = []
-        if self.context is not None:
-            params.extend(self.context.named_parameters(f"{prefix}.context"))
-        params.extend(self.transform.named_parameters(f"{prefix}.transform"))
-        if self.tfe is not None:
-            params.extend(self.tfe.named_parameters(f"{prefix}.tfe"))
-        return params
 
     def __call__(self, feature_map: Tensor) -> Tensor:
         if feature_map.ndim != 4:

@@ -156,6 +156,10 @@ def validate(cfg: RunConfig) -> RunConfig:
     d = cfg.data
     if d.num_speakers < 1 or d.utts_per_speaker < 1 or not d.duration_s > 0:
         raise ConfigError("data.num_speakers, data.utts_per_speaker and data.duration_s must be positive")
+    # a trial list needs a target and a nontarget trial, and a target trial two
+    # held-out utterances of one speaker
+    if d.num_trials < 2 or d.eval_utts_per_speaker < 2:
+        raise ConfigError("data.num_trials and data.eval_utts_per_speaker must be at least 2")
     if cfg.seed < 0:
         raise ConfigError("seed must be non-negative")
     return cfg

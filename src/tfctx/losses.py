@@ -14,28 +14,28 @@ import numpy as np
 
 from . import tensor as T
 from .errors import NumericalError, ShapeError
-from .tensor import Tensor
+from .tensor import Module, Tensor
 
 
-class ProtoParams:
+class ProtoParams(Module):
     """Learnable similarity scale/bias of the prototypical softmax. The
     scale must stay positive; the trainer clamps it after every step."""
 
+    PREFIX = "proto"
     W_FLOOR = 1e-6
 
     def __init__(self, scale_init: float = 10.0, bias_init: float = -5.0):
         self.scale = Tensor(np.array([float(scale_init)]), requires_grad=True)
         self.bias = Tensor(np.array([float(bias_init)]), requires_grad=True)
 
-    def named_parameters(self, prefix: str = "proto"):
-        return [(f"{prefix}.scale", self.scale), (f"{prefix}.bias", self.bias)]
-
     def clamp_(self) -> None:
         np.maximum(self.scale.data, self.W_FLOOR, out=self.scale.data)
 
 
-class ClassifierHead:
+class ClassifierHead(Module):
     """Last linear layer for the speaker classification loss."""
+
+    PREFIX = "head"
 
     def __init__(self, num_speakers: int, embed_dim: int, rng: np.random.Generator | None = None):
         rng = rng if rng is not None else np.random.default_rng(0)
@@ -43,9 +43,6 @@ class ClassifierHead:
         self.weight = Tensor(rng.normal(0.0, 1.0 / math.sqrt(embed_dim), (num_speakers, embed_dim)),
                              requires_grad=True)
         self.bias = Tensor(np.zeros(num_speakers), requires_grad=True)
-
-    def named_parameters(self, prefix: str = "head"):
-        return [(f"{prefix}.weight", self.weight), (f"{prefix}.bias", self.bias)]
 
 
 def _check_batch(batch: Tensor) -> tuple[int, int, int]:

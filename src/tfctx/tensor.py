@@ -671,6 +671,40 @@ class RunningStats:
         self.var = (1.0 - m) * self.var + m * var
 
 
+class Module:
+    """A layer whose parameters and batch-norm state are found by walking
+    its attributes in the order they were assigned: a ``Tensor`` is a
+    parameter, a ``RunningStats`` attribute ``running`` is the state pair
+    ``running_mean`` / ``running_var``, and a ``Module`` is a child whose
+    entries are prefixed by its attribute name. The names and their order
+    are a checkpoint's layout. Other attributes, containers included, are
+    not walked; a layer that keeps children in a container lists them by
+    overriding ``members``."""
+
+    PREFIX = ""  # first name part of the entries of a walk rooted here
+
+    def members(self):
+        return vars(self).items()
+
+    def _walk(self, prefix: str):
+        for name, value in self.members():
+            path = f"{prefix}.{name}" if prefix else name
+            if isinstance(value, Module):
+                yield from value._walk(path)
+            else:
+                yield path, value
+
+    def named_parameters(self) -> list[tuple[str, Tensor]]:
+        return [(path, v) for path, v in self._walk(self.PREFIX) if isinstance(v, Tensor)]
+
+    def named_state(self) -> list[tuple[str, np.ndarray]]:
+        out = []
+        for path, v in self._walk(self.PREFIX):
+            if isinstance(v, RunningStats):
+                out += [(f"{path}_mean", v.mean), (f"{path}_var", v.var)]
+        return out
+
+
 def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5,
                  training: bool = True, running: RunningStats | None = None) -> Tensor:
     """Per-channel normalization of an (N, C, F, T) tensor.

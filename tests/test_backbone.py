@@ -251,6 +251,36 @@ class TestParameterCount:
         assert blocks.parameter_count(emb.named_parameters()) == want
 
 
+class GatedConv(backbone.Conv2dLayer):
+    """A conv that adds a parameter and a nested child and nothing else:
+    no walk lists them."""
+
+    def __init__(self, cin, cout, rng):
+        super().__init__(cin, cout, rng=rng)
+        self.gate = Tensor(np.full(cout, 0.5), requires_grad=True)
+        self.norm = backbone.BatchNormLayer(cout)
+
+    def __call__(self, x, training):
+        y = self.norm(super().__call__(x), training)
+        return T.mul(y, T.reshape(self.gate, (1, self.gate.shape[0], 1, 1)))
+
+
+class TestModuleTree:
+    def test_new_attributes_are_named_and_trained(self):
+        rng = np.random.default_rng(30)
+        layer = GatedConv(2, 3, rng)
+        assert [n for n, _ in layer.named_parameters()] == ["weight", "gate", "norm.gamma",
+                                                            "norm.beta"]
+        assert [n for n, _ in layer.named_state()] == ["norm.running_mean", "norm.running_var"]
+        before = {n: p.data.copy() for n, p in layer.named_parameters()}
+        opt = optim.AdamW(layer.named_parameters(), lr=1e-2, weight_decay=0.0)
+        target = Tensor(rng.normal(size=(2, 3, 4, 5)))
+        T.mul(layer(Tensor(rng.normal(size=(2, 2, 4, 5))), True), target).sum().backward()
+        opt.step()
+        for name, p in layer.named_parameters():
+            assert not np.array_equal(p.data, before[name]), name
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         emb = toy_embedder(seed=5)

@@ -561,6 +561,19 @@ class TestExitCodes:
         assert err.startswith("config error:") and f"data.{field}" in err
         assert not os.path.exists(doc["data"]["data_dir"])
 
+    @pytest.mark.parametrize("field,value", [("num_trials", -4), ("num_trials", 0),
+                                             ("num_trials", 1), ("eval_utts_per_speaker", 0),
+                                             ("eval_utts_per_speaker", 1)])
+    def test_too_few_trials_is_config_error_before_writing(self, tmp_path, capsys, field, value):
+        path, doc = micro_config(tmp_path)
+        doc["data"][field] = value
+        with open(path, "w") as f:
+            json.dump(doc, f)
+        assert cli.main(["synth-data", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"data.{field}" in err
+        assert not os.path.exists(os.path.join(doc["data"]["data_dir"], "wav"))
+
     # a 0xff byte can start no UTF-8 sequence
     @pytest.mark.parametrize("loader,code", [("manifest", 2), ("trials", 2), ("scores", 2),
                                              ("config", 1)])

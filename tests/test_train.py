@@ -1,10 +1,12 @@
 import dataclasses
+import hashlib
+import itertools
 import os
 
 import numpy as np
 import pytest
 
-from tfctx import config, features, train
+from tfctx import backbone, config, features, losses, train
 from tfctx.tensor import Tensor
 
 
@@ -161,3 +163,47 @@ class TestEveryBlockKnobIsLive:
         shapes, emb = self.fingerprint(base)
         new_shapes, new_emb = self.fingerprint({**base, field: value})
         assert new_shapes != shapes or not np.array_equal(new_emb, emb)
+
+
+def layout_digest(embedder) -> str:
+    """sha256 of the (name, shape) list a checkpoint of this embedder holds,
+    in file order."""
+    layout = [(name, p.shape) for name, p in embedder.named_parameters()]
+    layout += [(name, a.shape) for name, a in embedder.named_state()]
+    return hashlib.sha256(repr(layout).encode()).hexdigest()
+
+
+# digests of the layouts of the 60 toy preset settings below and of the
+# full-scale config
+TOY_LAYOUTS_SHA256 = "b804ea70f237fa7fac51a111a55f5dbeb8693d2e9fdf0da589f8cf389434d6e4"
+FULL_SCALE_LAYOUT_SHA256 = "f2ef486a5cf94a68d0d746b5612bf4c4853f933f2b05c94b27027007c482a9c7"
+
+
+class TestCheckpointLayout:
+    """Checkpoint entry names, order and shapes are pinned: a renamed,
+    reordered, added or dropped entry changes every checkpoint's bytes and
+    breaks loading older files."""
+
+    def test_toy_presets(self):
+        digest = hashlib.sha256()
+        for variant, insertion, stages, transform in itertools.product(
+                sorted(config.TOY_VARIANTS), backbone.INSERTION_POSITIONS, ("all", "last"),
+                ("fc", "conv1d")):
+            cfg = config.toy_preset(variant)
+            block = cfg.model.block
+            block.insertion, block.stages, block.transform = insertion, stages, transform
+            embedder = train.build_embedder(config.validate(cfg), np.random.default_rng(0))
+            digest.update(layout_digest(embedder).encode())
+        assert digest.hexdigest() == TOY_LAYOUTS_SHA256
+
+    def test_full_scale(self):
+        cfg = config.load(os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                                       "configs", "full_scale.json"))
+        embedder = train.build_embedder(cfg, np.random.default_rng(0))
+        assert layout_digest(embedder) == FULL_SCALE_LAYOUT_SHA256
+
+    def test_training_heads(self):
+        head = losses.ClassifierHead(3, 8, np.random.default_rng(0))
+        assert [n for n, _ in head.named_parameters()] == ["head.weight", "head.bias"]
+        assert [n for n, _ in losses.ProtoParams().named_parameters()] == ["proto.scale",
+                                                                           "proto.bias"]
