@@ -12,12 +12,14 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 import typing
 from dataclasses import dataclass, field
 
 from .backbone import INSERTION_POSITIONS
 from .blocks import GcmBlock
 from .errors import ConfigError
+from .optim import lr_schedule
 
 @dataclass
 class FeatureSection:
@@ -147,10 +149,26 @@ def validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError("model.stem_stride must have two entries")
     if len(cfg.model.block.dct_grid) != 2:
         raise ConfigError("model.block.dct_grid must have two entries")
-    if cfg.train.utts_per_speaker_batch < 2:
-        raise ConfigError("train.utts_per_speaker_batch must be at least 2")
-    if cfg.train.epochs < 1 or cfg.train.speakers_per_batch < 1:
-        raise ConfigError("train.epochs and train.speakers_per_batch must be positive")
+    tr = cfg.train
+    # a batch needs two speakers with two utterances each, for the prototypical
+    # loss; each test is written so that NaN fails it
+    for name, ok, wanted in (
+            ("epochs", tr.epochs >= 1, "at least 1"),
+            ("speakers_per_batch", tr.speakers_per_batch >= 2, "at least 2"),
+            ("utts_per_speaker_batch", tr.utts_per_speaker_batch >= 2, "at least 2"),
+            ("base_lr", 0 < tr.base_lr < math.inf, "positive and finite"),
+            ("warmup_epochs", tr.warmup_epochs >= 0, "non-negative"),
+            ("lr_decay", 0 < tr.lr_decay <= 1, "in (0, 1]"),
+            ("lr_decay_every", tr.lr_decay_every >= 1, "at least 1"),
+            ("weight_decay", 0 <= tr.weight_decay < math.inf, "non-negative and finite")):
+        if not ok:
+            raise ConfigError(f"train.{name} must be {wanted}, got {getattr(tr, name)!r}")
+    # the rate's extremes: the first and last epochs' (the lowest; a tiny base_lr or
+    # lr_decay rounds them to 0) and the warm-up's end (base_lr * warmup_epochs)
+    extremes = {0, min(tr.warmup_epochs, tr.epochs) - 1, tr.epochs - 1} - {-1}
+    if not all(0 < lr_schedule(epoch, tr.base_lr, tr.warmup_epochs, tr.lr_decay,
+                               tr.lr_decay_every) < math.inf for epoch in extremes):
+        raise ConfigError("train: the learning rate is 0 or infinite within train.epochs")
     if cfg.features.chunk < 1:
         raise ConfigError("features.chunk must be positive")
     d = cfg.data

@@ -145,8 +145,8 @@ def compute_fbank(wave_in: Waveform, cfg: FbankConfig) -> np.ndarray:
     spectrum = np.fft.rfft(frames * np.hamming(win), n=cfg.fft_size)
     power = spectrum.real ** 2 + spectrum.imag ** 2
     energies = power @ mel_filterbank(cfg.sample_rate, cfg.n_mels, cfg.fft_size, cfg.f_min, cfg.f_max).T
-    # contiguous result: downstream reductions must accumulate in the same
-    # order whether the fbank was just computed or reloaded from cache
+    # a C-contiguous result fixes the order in which mean_normalize's
+    # reduction accumulates, and so the features' bits
     return np.ascontiguousarray(np.log(np.maximum(energies, cfg.log_floor)).T)
 
 
@@ -253,24 +253,37 @@ def synth_utterance(spec: SyntheticSpeakerSpec, utt_index: int, seed: int,
     return 0.7 * signal / np.abs(signal).max()
 
 
+def corpus_entries(num_speakers: int, utts_per_speaker: int, eval_utts_per_speaker: int = 0):
+    """(train_entries, eval_entries) of the synthetic corpus, each a list of
+    (speaker_id, relative_path). They depend on the counts alone, so they
+    are known before any audio is written."""
+    train, heldout = [], []
+    for si in range(num_speakers):
+        spk = f"spk{si:03d}"
+        for ui in range(utts_per_speaker + eval_utts_per_speaker):
+            entry = (spk, os.path.join("wav", spk, f"utt{ui:04d}.wav"))
+            (train if ui < utts_per_speaker else heldout).append(entry)
+    return train, heldout
+
+
 def synth_dataset(out_dir: str, num_speakers: int, utts_per_speaker: int,
                   duration_s: float, seed: int, eval_utts_per_speaker: int = 0,
                   sample_rate: int = 16000):
-    """Write the corpus and return (train_entries, eval_entries), each a list
-    of (speaker_id, relative_path). Evaluation utterances are fresh draws
-    from the same speakers, disjoint from training."""
+    """Write the corpus and return its ``corpus_entries``. Evaluation
+    utterances are fresh draws from the same speakers, disjoint from
+    training."""
     if num_speakers < 1 or utts_per_speaker < 1 or duration_s <= 0:
         raise ValueError("speaker/utterance counts and duration must be positive")
-    train, heldout = [], []
+    train, heldout = corpus_entries(num_speakers, utts_per_speaker, eval_utts_per_speaker)
+    rels_by_speaker: dict[str, list[str]] = {}
+    for spk, rel in train + heldout:  # a speaker's training utterances first
+        rels_by_speaker.setdefault(spk, []).append(rel)
     for si in range(num_speakers):
         spec = make_speaker_spec(si, seed)
-        spk_dir = os.path.join(out_dir, "wav", spec.speaker_id)
-        os.makedirs(spk_dir, exist_ok=True)
-        for ui in range(utts_per_speaker + eval_utts_per_speaker):
-            samples = synth_utterance(spec, ui, seed, duration_s, sample_rate)
-            rel = os.path.join("wav", spec.speaker_id, f"utt{ui:04d}.wav")
-            write_wav(os.path.join(out_dir, rel), samples, sample_rate)
-            (train if ui < utts_per_speaker else heldout).append((spec.speaker_id, rel))
+        for ui, rel in enumerate(rels_by_speaker[spec.speaker_id]):
+            path = os.path.join(out_dir, rel)
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            write_wav(path, synth_utterance(spec, ui, seed, duration_s, sample_rate), sample_rate)
     return train, heldout
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-import hashlib
 import json
 import os
 import time
@@ -19,9 +18,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import backbone, blocks, features, losses, metrics, optim
-from .config import TOY_VARIANTS, RunConfig, to_dict, validate
+from .config import TOY_VARIANTS, RunConfig, from_dict, to_dict, validate
 from .errors import ConfigError, DataError
-from .tensor import Tensor, load_tensor, save_tensor
+# save_tensor is unused here, but tfbench's tracer patches train.save_tensor by name
+from .tensor import Tensor, save_tensor
 
 TRAIN_MANIFEST = "train_manifest.txt"
 EVAL_MANIFEST = "eval_manifest.txt"
@@ -73,55 +73,15 @@ def fbank_config(cfg: RunConfig) -> features.FbankConfig:
         raise ConfigError(f"features: {exc}") from exc
 
 
-def _cache_dir(cfg: RunConfig) -> str:
-    """The fbank cache for this config: named by a digest of every
-    FbankConfig field, so that changing any of them misses the old cache."""
-    fields = json.dumps(dataclasses.asdict(fbank_config(cfg)), sort_keys=True)
-    digest = hashlib.sha256(fields.encode()).hexdigest()[:16]
-    return os.path.join(cfg.data.data_dir, f"fbank_cache_{digest}")
-
-
-def load_features(cfg: RunConfig, rel_paths, use_cache: bool = True) -> dict[str, np.ndarray]:
-    """Mean-normalized (n_mels, T) features per relative path; raw fbanks go
-    through an on-disk cache in the tensor dump format. Each entry starts
-    with its wav's size and modification time, so a rewritten wav misses
-    and its entry is replaced. Entries are written to a temporary file and
-    renamed into place, and an entry that does not parse counts as a miss,
-    so a run killed mid-write cannot break later runs."""
+def load_features(cfg: RunConfig, rel_paths) -> dict[str, np.ndarray]:
+    """Mean-normalized (n_mels, T) features of each unique relative path,
+    computed from its wav."""
     fb_cfg = fbank_config(cfg)
-    cache_dir = _cache_dir(cfg)
     out = {}
     for rel in rel_paths:
-        if rel in out:
-            continue
-        wav_path = os.path.join(cfg.data.data_dir, rel)
-        cache_path = os.path.join(cache_dir, rel + ".tfd")
-        fbank = None
-        if use_cache:
-            try:
-                st = os.stat(wav_path)
-            except FileNotFoundError:
-                raise DataError(f"audio file not found: {wav_path}") from None
-            # split so that every part is exact in float64
-            stamp = np.array([st.st_size, st.st_mtime_ns // 10**9, st.st_mtime_ns % 10**9],
-                             dtype=np.float64)
-            try:
-                with open(cache_path, "rb") as f:
-                    if np.array_equal(load_tensor(f), stamp):
-                        fbank = load_tensor(f)
-            except (FileNotFoundError, ValueError):
-                pass  # no entry, or a torn one: recompute below
-        if fbank is None:
-            wav = features.read_wav(wav_path)
-            fbank = features.compute_fbank(wav, fb_cfg)
-            if use_cache:
-                os.makedirs(os.path.dirname(cache_path), exist_ok=True)
-                tmp_path = f"{cache_path}.{os.getpid()}.tmp"
-                with open(tmp_path, "wb") as f:
-                    save_tensor(f, stamp)
-                    save_tensor(f, fbank)
-                os.replace(tmp_path, cache_path)
-        out[rel] = features.mean_normalize(fbank)
+        if rel not in out:
+            wav = features.read_wav(os.path.join(cfg.data.data_dir, rel))
+            out[rel] = features.mean_normalize(features.compute_fbank(wav, fb_cfg))
     return out
 
 
@@ -255,10 +215,15 @@ def train_run(cfg: RunConfig, out_dir: str, quiet: bool = False) -> str:
 
 
 def load_embedder(checkpoint_path: str) -> tuple[backbone.Embedder, RunConfig]:
-    from .config import from_dict
+    """The embedder a checkpoint holds, and the config embedded in it. An
+    embedded config that is invalid or cannot build the model means a
+    damaged checkpoint, so it is a DataError."""
     doc, arrays = backbone.load_checkpoint(checkpoint_path)
-    cfg = from_dict(doc)
-    embedder = build_embedder(cfg, np.random.default_rng(cfg.seed))
+    try:
+        cfg = from_dict(doc)
+        embedder = build_embedder(cfg, np.random.default_rng(cfg.seed))
+    except ConfigError as exc:
+        raise DataError(f"{checkpoint_path}: damaged embedded config: {exc}") from None
     # the checkpoint also holds the training heads; load_arrays checks the rest
     names = {n for n, _ in embedder.named_parameters() + embedder.named_state()}
     embedder.load_arrays({n: a for n, a in arrays.items() if n in names})
@@ -319,19 +284,20 @@ def evaluate_run(cfg: RunConfig, embedder: backbone.Embedder, trials: metrics.Tr
 def synth_corpus(cfg: RunConfig, quiet: bool = False) -> None:
     """Deterministic corpus plus manifests, a balanced held-out trial list
     and CORPUS_FILE (the settings it was made from, which train_run checks)
-    under cfg.data.data_dir."""
+    under cfg.data.data_dir. Trials are sampled first, before anything is written."""
     d = cfg.data
-    train, heldout = features.synth_dataset(
-        d.data_dir, d.num_speakers, d.utts_per_speaker, d.duration_s,
-        cfg.seed, d.eval_utts_per_speaker, cfg.features.sample_rate)
-    features.write_manifest(os.path.join(d.data_dir, TRAIN_MANIFEST), train)
-    features.write_manifest(os.path.join(d.data_dir, EVAL_MANIFEST), heldout)
-
+    _, heldout = features.corpus_entries(d.num_speakers, d.utts_per_speaker,
+                                         d.eval_utts_per_speaker)
     ids_by_speaker: dict[str, list[str]] = {}
     for spk, rel in heldout:
         ids_by_speaker.setdefault(spk, []).append(rel)
     trials = metrics.sample_balanced_trials(ids_by_speaker, d.num_trials,
                                             np.random.default_rng(cfg.seed + 1))
+    train, heldout = features.synth_dataset(
+        d.data_dir, d.num_speakers, d.utts_per_speaker, d.duration_s,
+        cfg.seed, d.eval_utts_per_speaker, cfg.features.sample_rate)
+    features.write_manifest(os.path.join(d.data_dir, TRAIN_MANIFEST), train)
+    features.write_manifest(os.path.join(d.data_dir, EVAL_MANIFEST), heldout)
     metrics.write_trials(os.path.join(d.data_dir, TRIALS_FILE), trials)
     with open(os.path.join(d.data_dir, CORPUS_FILE), "w") as f:
         json.dump(_corpus_fields(cfg), f, indent=1)

@@ -1,7 +1,8 @@
 import contextlib
-import glob
+import hashlib
 import io
 import json
+import math
 import os
 import pathlib
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tfctx import backbone, cli, config, dct, features, metrics, train
+from tfctx import backbone, cli, config, dct, features, metrics, optim, train
 from tfctx import tensor as T
 from tfctx.errors import ConfigError, DataError
 
@@ -54,9 +55,9 @@ def _field_paths(doc, prefix=()):
 
 # every section and field of the full micro config, defaults included
 FIELD_PATHS = list(_field_paths(config.to_dict(config.from_dict(MICRO_DOC))))
+NUMBERS = st.integers(-3, 64) | st.floats(-100, 100, allow_nan=False)
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers(-3, 64)
-    | st.floats(-100, 100, allow_nan=False) | st.text(max_size=3),
+    st.none() | st.booleans() | NUMBERS | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
                                                                  max_size=2),
     max_leaves=6) | st.lists(st.integers(-3, 64), min_size=2, max_size=4)
@@ -105,17 +106,24 @@ class TestConfig:
     def test_one_bad_field_is_a_config_error(self, data):
         """Any one field of the micro config set to a small value of any
         JSON type is rejected by the loader, or builds the model and the
-        filterbank, or fails to build them with a ConfigError."""
+        filterbank, or fails to build them with a ConfigError; a config
+        the loader accepts has a finite, positive rate in every epoch."""
         doc = config.to_dict(config.from_dict(MICRO_DOC))
+        doc["train"]["epochs"] = 40  # the warm-up and two lr decays
         path = data.draw(st.sampled_from(FIELD_PATHS))
         parent = doc
         for key in path[:-1]:
             parent = parent[key]
-        parent[path[-1]] = data.draw(JSON_VALUES)
+        parent[path[-1]] = data.draw(NUMBERS | JSON_VALUES)
         try:
             cfg = config.from_dict(doc)
         except ConfigError:
             return
+        tr = cfg.train
+        for epoch in range(tr.epochs):
+            lr = optim.lr_schedule(epoch, tr.base_lr, tr.warmup_epochs, tr.lr_decay,
+                                   tr.lr_decay_every)
+            assert math.isfinite(lr) and lr > 0, (epoch, lr)
         for build in (lambda: train.build_embedder(cfg, np.random.default_rng(0)),
                       lambda: train.fbank_config(cfg)):
             try:
@@ -128,6 +136,11 @@ class TestConfig:
                                                "dct_gcm_tfe", "se"]
         with pytest.raises(ConfigError, match="toy variant"):
             config.toy_preset("resnet")
+
+
+# sha256 prefixes of the micro config's manifests and trial list
+CORPUS_DIGESTS = {"train_manifest.txt": "6ddd51f76c89330d", "eval_manifest.txt": "ff8fe65088f6d44a",
+                  "trials.txt": "88d70be03553a456"}
 
 
 class TestSynthData:
@@ -149,6 +162,23 @@ class TestSynthData:
         m1 = open(os.path.join(d1["data"]["data_dir"], "train_manifest.txt")).read()
         m2 = open(os.path.join(d2["data"]["data_dir"], "train_manifest.txt")).read()
         assert m1 == m2
+
+    def test_corpus_bytes_pinned(self, tmp_path):
+        path, doc = micro_config(tmp_path)
+        assert cli.main(["synth-data", "--config", path]) == 0
+        digests = {name: hashlib.sha256(open(os.path.join(doc["data"]["data_dir"], name),
+                                             "rb").read()).hexdigest()[:16]
+                   for name in (train.TRAIN_MANIFEST, train.EVAL_MANIFEST, train.TRIALS_FILE)}
+        assert digests == CORPUS_DIGESTS
+
+    def test_too_many_trials_writes_nothing(self, tmp_path, capsys):
+        path, doc = micro_config(tmp_path)
+        doc["data"]["num_trials"] = 40  # 20 target trials; 3 speakers x 3 utterances pair 9 ways
+        with open(path, "w") as f:
+            json.dump(doc, f)
+        assert cli.main(["synth-data", "--config", path]) == cli.EXIT_DATA
+        assert "same-speaker pairs" in capsys.readouterr().err
+        assert not os.path.exists(doc["data"]["data_dir"])
 
     def test_trial_list_parses_back(self, tmp_path):
         path, doc = micro_config(tmp_path)
@@ -274,6 +304,20 @@ class TestTrainEval:
                          "--trials", trials, "--out", str(tmp_path / "reshaped_eval")])
         assert code == cli.EXIT_DATA
         assert name in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", [{"name": "x"}, {"seed": "seven"}],
+                             ids=["unknown_key", "seed_string"])
+    def test_checkpoint_config_is_data_error(self, trained, tmp_path, capsys, damage):
+        _, doc = trained
+        ckpt_doc, arrays = backbone.load_checkpoint(os.path.join(doc["out_dir"], "checkpoint.ckpt"))
+        broken = str(tmp_path / "bad_config.ckpt")
+        backbone.save_checkpoint(broken, arrays.items(), {**ckpt_doc, **damage})
+        trials = os.path.join(doc["data"]["data_dir"], "trials.txt")
+        code = cli.main(["eval", "--checkpoint", broken, "--trials", trials,
+                         "--out", str(tmp_path / "bad_config_eval")])
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and broken in err and "Traceback" not in err
 
     @pytest.mark.parametrize("field,value", [("extent", 2**33), ("rank", 2**40),
                                              ("extent", 2**64 - 1)])
@@ -519,6 +563,16 @@ BAD_CONFIGS = {
     "chunk_0": (("features",), {"chunk": 0}),
     "embed_dim_1": (("model",), {"embed_dim": 1}),
     "reduction_string": (("model", "block"), {"reduction": "4"}),
+    "base_lr_0": (("train",), {"base_lr": 0.0}),
+    "base_lr_negative": (("train",), {"base_lr": -1.0}),
+    "lr_decay_0": (("train",), {"lr_decay": 0.0}),
+    "lr_decay_above_1": (("train",), {"lr_decay": 1.5}),
+    "lr_decay_every_0": (("train",), {"lr_decay_every": 0}),
+    "warmup_epochs_negative": (("train",), {"warmup_epochs": -1}),
+    "weight_decay_negative": (("train",), {"weight_decay": -1e-4}),
+    "speakers_per_batch_1": (("train",), {"speakers_per_batch": 1}),
+    "lr_rounds_to_0": (("train",), {"epochs": 40, "lr_decay": 1e-200}),
+    "lr_overflows": (("train",), {"epochs": 3, "warmup_epochs": 3, "base_lr": 1e308}),
 }
 
 
@@ -531,8 +585,14 @@ def micro_corpus(tmp_path_factory):
 
 class TestExitCodes:
     @pytest.mark.parametrize("case", BAD_CONFIGS)
-    def test_bad_value_is_config_error_before_reading(self, micro_corpus, tmp_path, capsys, case):
+    def test_bad_value_is_config_error_before_reading(self, micro_corpus, tmp_path, capsys,
+                                                      monkeypatch, case):
         section, updates = BAD_CONFIGS[case]
+
+        def no_read(path):
+            raise AssertionError(f"read {path}")
+
+        monkeypatch.setattr(features, "read_wav", no_read)
         doc = micro_doc(tmp_path)
         doc["data"]["data_dir"] = micro_corpus
         target = doc
@@ -545,8 +605,7 @@ class TestExitCodes:
         assert cli.main(["train", "--config", path]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
-        # nothing was read from the corpus or written for the run
-        assert not glob.glob(os.path.join(micro_corpus, "fbank_cache_*"))
+        # no audio was read (no_read did not run) and nothing was written for the run
         assert not os.path.exists(doc["out_dir"])
 
     @pytest.mark.parametrize("field,value", [("num_speakers", 0), ("utts_per_speaker", 0),

@@ -43,7 +43,17 @@ def assert_same_features(got, want):
         np.testing.assert_array_equal(got[rel], want[rel])
 
 
+def fbanks_of(cfg, rels):
+    """The features of each path, from compute_fbank without load_features."""
+    fb_cfg = train.fbank_config(cfg)
+    return {rel: features.mean_normalize(features.compute_fbank(
+        features.read_wav(os.path.join(cfg.data.data_dir, rel)), fb_cfg)) for rel in rels}
+
+
 class TestFeatureCache:
+    """Features follow the current wavs and filterbank settings (named for
+    the on-disk fbank cache these checks once guarded)."""
+
     def test_resynthesized_corpus_not_served_stale(self, tmp_path):
         cfg = micro_config(tmp_path, seed=1)
         train.synth_corpus(cfg, quiet=True)
@@ -52,47 +62,21 @@ class TestFeatureCache:
 
         cfg.seed = 2
         train.synth_corpus(cfg, quiet=True)
-        got = train.load_features(cfg, rels)
-        want = train.load_features(cfg, rels, use_cache=False)
-        assert_same_features(got, want)
+        want = fbanks_of(cfg, rels)
+        assert_same_features(train.load_features(cfg, rels), want)
         assert any(not np.array_equal(first[rel], want[rel]) for rel in rels)
 
     def test_fbank_settings_not_served_stale(self, tmp_path):
         cfg = micro_config(tmp_path)
         train.synth_corpus(cfg, quiet=True)
         rels = train_paths(cfg)
-        train.load_features(cfg, rels)
+        first = train.load_features(cfg, rels)
         for field, value in (("f_min", 100.0), ("f_max", 6000.0), ("log_floor", 1e-3)):
             setattr(cfg.features, field, value)
-            assert_same_features(train.load_features(cfg, rels),
-                                 train.load_features(cfg, rels, use_cache=False))
-
-    def test_unchanged_wavs_hit_the_cache(self, tmp_path, monkeypatch):
-        cfg = micro_config(tmp_path)
-        train.synth_corpus(cfg, quiet=True)
-        rels = train_paths(cfg)
-        want = train.load_features(cfg, rels)
-
-        def no_fbank(*args):
-            raise AssertionError("cache missed")
-
-        monkeypatch.setattr(features, "compute_fbank", no_fbank)
-        assert_same_features(train.load_features(cfg, rels), want)
-
-    def test_torn_entry_is_a_miss_and_rewritten(self, tmp_path):
-        cfg = micro_config(tmp_path)
-        train.synth_corpus(cfg, quiet=True)
-        rels = train_paths(cfg)
-        train.load_features(cfg, rels)
-        entry = os.path.join(train._cache_dir(cfg), rels[0] + ".tfd")
-        whole = os.path.getsize(entry)
-        with open(entry, "r+b") as f:
-            f.truncate(whole // 2)  # a write cut short: the fbank's data is partial
-
-        assert_same_features(train.load_features(cfg, rels),
-                             train.load_features(cfg, rels, use_cache=False))
-        assert os.path.getsize(entry) == whole
-        assert not [name for name in os.listdir(os.path.dirname(entry)) if name.endswith(".tmp")]
+            got = train.load_features(cfg, rels)
+            assert_same_features(got, fbanks_of(cfg, rels))
+            assert any(not np.array_equal(first[rel], got[rel]) for rel in rels)
+            first = got
 
 
 class TestTrainLog:
