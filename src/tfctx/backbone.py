@@ -27,6 +27,8 @@ from .errors import DataError, NumericalError, ShapeError
 from .tensor import Module, RunningStats, Tensor
 
 INSERTION_POSITIONS = ("after_bn", "before_bn", "before_conv")
+# the stages whose residual blocks get a context block
+GCM_STAGES = ("all", "last")
 
 
 class Conv2dLayer(Module):
@@ -125,6 +127,17 @@ def _conv_out(n: int, stride: int) -> int:
     return (n + 2 - 3) // stride + 1
 
 
+def final_extent(n: int, stem_stride: int, stage_strides, blocks_per_stage) -> int:
+    """Extent, along one axis, of the last stage's map for an input of
+    extent n: the stem's stride along that axis, then each stage's (square)
+    stride. A stage without blocks does not downsample."""
+    n = _conv_out(n, stem_stride)
+    for stride, n_blocks in zip(stage_strides, blocks_per_stage):
+        if n_blocks > 0:
+            n = _conv_out(n, stride)
+    return n
+
+
 class Embedder(Module):
     """Feature map (N, 1, F, T) -> unit-norm embedding (N, embed_dim)."""
 
@@ -138,7 +151,7 @@ class Embedder(Module):
             raise ValueError("embedding dimension must be at least 2")
         if not (len(stage_channels) == len(blocks_per_stage) == len(stage_strides)):
             raise ValueError("stage_channels, blocks_per_stage and stage_strides must align")
-        if gcm_stages not in ("all", "last"):
+        if gcm_stages not in GCM_STAGES:
             raise ValueError(f"unknown gcm_stages {gcm_stages!r}")
         self.mel_bins = mel_bins
         self.embed_dim = embed_dim
@@ -146,7 +159,6 @@ class Embedder(Module):
         self.stem = Conv2dLayer(1, stage_channels[0], 3, tuple(stem_stride), (1, 1), rng=rng)
         self.stem_bn = BatchNormLayer(stage_channels[0])
 
-        f = _conv_out(mel_bins, stem_stride[0])
         self.stages: list[list[ResidualBlock]] = []
         cin = stage_channels[0]
         for si, (cout, n_blocks, stride) in enumerate(zip(stage_channels, blocks_per_stage, stage_strides)):
@@ -159,10 +171,9 @@ class Embedder(Module):
                 gcm = make_gcm(gcm_width) if wants_gcm else None
                 stage.append(ResidualBlock(cin, cout, s, gcm, insertion, rng))
                 cin = cout
-                if bi == 0:
-                    f = _conv_out(f, stride)
             self.stages.append(stage)
-        self.frame_dim = stage_channels[-1] * f
+        self.frame_dim = stage_channels[-1] * final_extent(mel_bins, stem_stride[0], stage_strides,
+                                                           blocks_per_stage)
 
         self.pool = AttentiveStatsPool(self.frame_dim, asp_hidden, rng)
         self.head_w = Tensor(rng.normal(0.0, 1.0 / math.sqrt(2 * self.frame_dim),
@@ -250,17 +261,11 @@ def analytic_embedder_count(mel_bins: int, stage_channels, blocks_per_stage, sta
             if gcm_counter is not None and (gcm_stages == "all" or si == len(stage_channels) - 1):
                 total += gcm_counter(cin if insertion == "before_conv" else cout)
             cin = cout
-    frame_dim = stage_channels[-1] * _final_f(mel_bins, stage_strides, stem_stride_f)
+    frame_dim = stage_channels[-1] * final_extent(mel_bins, stem_stride_f, stage_strides,
+                                                  blocks_per_stage)
     total += asp_hidden * frame_dim + asp_hidden + asp_hidden + 1
     total += embed_dim * 2 * frame_dim + embed_dim
     return total
-
-
-def _final_f(mel_bins: int, stage_strides, stem_stride_f: int) -> int:
-    f = _conv_out(mel_bins, stem_stride_f)
-    for s in stage_strides:
-        f = _conv_out(f, s)
-    return f
 
 
 # -- checkpoint container ---------------------------------------------------------

@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from . import tensor as T
-from .dct import DctBasisSet, build_basis_set
+from . import dct
 from .errors import ShapeError
 from .tensor import Module, Tensor
 
@@ -78,17 +78,17 @@ class AttentionContext(Module):
 
 class MultiDctContext(Module):
     """Fixed DCT-grid pooling: project each channel onto the K lowest grids
-    and keep the per-channel maximum. A map whose extents differ from the
-    grid is projected onto the grids pulled back through adaptive average
-    pooling (``DctBasisSet.pooled``), which equals pooling it first."""
+    of an F x T map and keep the per-channel maximum. A map whose extents
+    differ from the grid is projected onto the grids pulled back through
+    adaptive average pooling (``dct.pooled_grids``), which equals pooling it
+    first."""
 
-    def __init__(self, basis_set: DctBasisSet):
-        if len(basis_set) == 0:
-            raise ValueError("empty basis set")
-        self.basis_set = basis_set
+    def __init__(self, big_f: int, big_t: int, k: int):
+        dct.basis_grids(big_f, big_t, k)  # rejects a bad grid or K here, not at the first call
+        self.big_f, self.big_t, self.k = big_f, big_t, k
 
     def __call__(self, feature_map: Tensor) -> Tensor:
-        grids = Tensor(self.basis_set.pooled(*feature_map.shape[2:]))
+        grids = Tensor(dct.pooled_grids(self.big_f, self.big_t, self.k, *feature_map.shape[2:]))
         responses = T.einsum2("ncft,kft->nck", feature_map, grids)
         return T.reduce(responses, (2,), "max")
 
@@ -251,6 +251,7 @@ class GcmBlock(Module):
     """
 
     CONTEXT_KINDS = ("se", "att_gcm", "dct_gcm")
+    TRANSFORMS = ("fc", "conv1d")
     PREFIX = "gcm"
 
     def __init__(self, channels: int, kind: str = "se", transform: str = "fc",
@@ -261,6 +262,8 @@ class GcmBlock(Module):
         rng = rng if rng is not None else np.random.default_rng(0)
         if kind not in self.CONTEXT_KINDS:
             raise ValueError(f"unknown context kind {kind!r}")
+        if transform not in self.TRANSFORMS:
+            raise ValueError(f"unknown channel transform {transform!r}")
         self.context = None
         # DCT pooling hands the transform an unnormalized sum over the grid;
         # start the (learnable) transform at a matching scale
@@ -268,14 +271,12 @@ class GcmBlock(Module):
         if kind == "att_gcm":
             self.context = AttentionContext(channels, attention_hidden, rng)
         elif kind == "dct_gcm":
-            self.context = MultiDctContext(build_basis_set(dct_grid[0], dct_grid[1], dct_components))
+            self.context = MultiDctContext(dct_grid[0], dct_grid[1], dct_components)
             input_scale = math.sqrt(dct_grid[0] * dct_grid[1])
         if transform == "fc":
             self.transform = FcChannelTransform(channels, reduction, rng, input_scale)
-        elif transform == "conv1d":
-            self.transform = Conv1dChannelTransform(channels, rng, input_scale)
         else:
-            raise ValueError(f"unknown channel transform {transform!r}")
+            self.transform = Conv1dChannelTransform(channels, rng, input_scale)
         self.tfe = TfeParams(channels, tfe_groups, tfe_scale_init, rng) if tfe else None
 
     def __call__(self, feature_map: Tensor) -> Tensor:

@@ -16,7 +16,7 @@ import math
 import typing
 from dataclasses import dataclass, field
 
-from .backbone import INSERTION_POSITIONS
+from .backbone import GCM_STAGES, INSERTION_POSITIONS
 from .blocks import GcmBlock
 from .errors import ConfigError
 from .optim import lr_schedule
@@ -40,7 +40,7 @@ class DataSection:
     num_speakers: int = 20
     utts_per_speaker: int = 50
     eval_utts_per_speaker: int = 10
-    duration_s: float = 2.0
+    duration_s: float = 2.1  # 208 frames: training crops the 200-frame chunk at random
     num_trials: int = 400
 
 
@@ -52,7 +52,6 @@ class BlockSection:
     reduction: int = 4  # full-scale runs use 16
     attention_hidden_ratio: float = 0.125
     dct_components: int = 2
-    dct_grid: list = field(default_factory=lambda: [8, 25])
     tfe_groups: int = 8
     insertion: str = "after_bn"  # after_bn | before_bn | before_conv
     stages: str = "all"  # all | last
@@ -72,7 +71,7 @@ class ModelSection:
 @dataclass
 class TrainSection:
     epochs: int = 4
-    speakers_per_batch: int = 16
+    speakers_per_batch: int = 20  # full-scale runs use 16
     utts_per_speaker_batch: int = 2
     base_lr: float = 2e-3
     warmup_epochs: int = 1
@@ -131,9 +130,9 @@ def _build(cls, doc: dict, where: str):
 
 _VALID = {
     "model.block.kind": ("none", *GcmBlock.CONTEXT_KINDS),
-    "model.block.transform": ("fc", "conv1d"),
+    "model.block.transform": GcmBlock.TRANSFORMS,
     "model.block.insertion": INSERTION_POSITIONS,
-    "model.block.stages": ("all", "last"),
+    "model.block.stages": GCM_STAGES,
 }
 
 
@@ -147,8 +146,6 @@ def validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError("model: stage_channels, blocks_per_stage and stage_strides must align")
     if len(cfg.model.stem_stride) != 2:
         raise ConfigError("model.stem_stride must have two entries")
-    if len(cfg.model.block.dct_grid) != 2:
-        raise ConfigError("model.block.dct_grid must have two entries")
     tr = cfg.train
     # a batch needs two speakers with two utterances each, for the prototypical
     # loss; each test is written so that NaN fails it
@@ -212,17 +209,3 @@ TOY_VARIANTS = {
     "dct_gcm": ("dct_gcm", False),
     "dct_gcm_tfe": ("dct_gcm", True),
 }
-
-
-def toy_preset(variant: str) -> RunConfig:
-    """The toy operating point for one block variant: the defaults with 20
-    speakers per batch and the DCT grid of the toy backbone's smallest
-    feature map. Seed, epochs and directories are left to the caller."""
-    if variant not in TOY_VARIANTS:
-        raise ConfigError(f"unknown toy variant {variant!r}; known: {sorted(TOY_VARIANTS)}")
-    cfg = RunConfig()
-    cfg.train.speakers_per_batch = 20
-    cfg.model.block.kind, cfg.model.block.tfe = TOY_VARIANTS[variant]
-    cfg.model.block.dct_grid = [4, 13]
-    return validate(cfg)
-

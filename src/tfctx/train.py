@@ -30,16 +30,20 @@ CORPUS_FILE = "corpus.json"
 
 
 def make_gcm_factory(cfg: RunConfig, rng: np.random.Generator):
-    b = cfg.model.block
+    """The config's context-block constructor, or None for no blocks. A DCT
+    block's grid is the last stage's map for a ``chunk``-frame input."""
+    m, b = cfg.model, cfg.model.block
     if b.kind == "none":
         return None
+    grid = tuple(backbone.final_extent(n, stem, m.stage_strides, m.blocks_per_stage)
+                 for n, stem in zip((cfg.features.n_mels, cfg.features.chunk), m.stem_stride))
 
     def factory(channels: int) -> blocks.GcmBlock:
         hidden = max(1, int(round(channels * b.attention_hidden_ratio)))
         return blocks.GcmBlock(
             channels, kind=b.kind, transform=b.transform, reduction=b.reduction,
             attention_hidden=hidden, dct_components=b.dct_components,
-            dct_grid=tuple(b.dct_grid), tfe=b.tfe, tfe_groups=b.tfe_groups, rng=rng)
+            dct_grid=grid, tfe=b.tfe, tfe_groups=b.tfe_groups, rng=rng)
 
     return factory
 

@@ -10,7 +10,6 @@ import struct
 import numpy as np
 
 from tfctx import backbone
-from tfctx.dct import DctBasis
 from tfctx.errors import ShapeError
 
 
@@ -23,13 +22,12 @@ def basis_weight(i: int, j: int, f: int, t: int, big_f: int, big_t: int) -> floa
     return math.cos(math.pi * i * (f + 0.5) / big_f) * math.cos(math.pi * j * (t + 0.5) / big_t)
 
 
-def dct2_pool(channel_map: np.ndarray, basis: DctBasis) -> float:
-    """Project one FxT channel map onto a basis grid (plain dot product)."""
+def dct2_pool(channel_map: np.ndarray, grid: np.ndarray) -> float:
+    """Project one FxT channel map onto an FxT basis grid (plain dot product)."""
     channel_map = np.asarray(channel_map)
-    if channel_map.shape != (basis.big_f, basis.big_t):
-        raise ShapeError(
-            f"map extents {channel_map.shape} do not match basis grid ({basis.big_f}, {basis.big_t})")
-    return float(np.sum(basis.weights * channel_map))
+    if channel_map.shape != grid.shape:
+        raise ShapeError(f"map extents {channel_map.shape} do not match basis grid {grid.shape}")
+    return float(np.sum(grid * channel_map))
 
 
 def adaptive_avg_pool(channel_map: np.ndarray, out_f: int, out_t: int) -> np.ndarray:

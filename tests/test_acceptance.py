@@ -37,8 +37,7 @@ class TestCriterion1SpecialCases:
             att.proj_bias.data[:] = 0.0
             worst_att = max(worst_att, np.abs(att(m).data - mean).max())
 
-            basis = dct.build_basis_set(f, t, 1)
-            got = blocks.MultiDctContext(basis)(m).data
+            got = blocks.MultiDctContext(f, t, 1)(m).data
             worst_dct = max(worst_dct, np.abs(got - f * t * mean).max())
         elapsed = time.time() - t0
         _report("criterion 1: attention/DCT special-case identities",
@@ -52,13 +51,13 @@ class TestCriterion2DctCorrectness:
         worst = 0.0
         for big_f in range(1, 17):
             for big_t in range(1, 17):
-                grids = dct.build_basis_set(big_f, big_t, big_f * big_t).stacked()
+                grids = dct.basis_grids(big_f, big_t, big_f * big_t)
                 flat = grids.reshape(len(grids), -1)
                 gram = flat @ flat.T
                 off = gram - np.diag(np.diag(gram))
                 worst = max(worst, np.abs(off).max())
 
-        prefix = dct.build_basis_set(8, 25, 5).index_pairs
+        prefix = dct.component_order(8, 25)[:5]
         order_ok = prefix == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1)]
         full = dct.component_order(8, 25)
         keys = [(i + j, i) for i, j in full]
@@ -194,8 +193,10 @@ class TestCriterion6TfeInitIdentity:
 
 
 def toy_config(data_dir, out_dir, variant):
-    """The package's toy preset, trained for 7 epochs."""
-    cfg = config.toy_preset(variant)
+    """The package's defaults (the toy operating point) with one of its toy
+    variants, trained for 7 epochs."""
+    cfg = config.RunConfig()
+    cfg.model.block.kind, cfg.model.block.tfe = config.TOY_VARIANTS[variant]
     cfg.out_dir = out_dir
     cfg.data.data_dir = data_dir
     cfg.train.epochs = 7
@@ -242,7 +243,6 @@ class TestCriterion8Determinism:
         cfg.model.asp_hidden = 4
         cfg.model.block.reduction = 2
         cfg.model.block.tfe_groups = 2
-        cfg.model.block.dct_grid = [4, 1]
 
         checkpoints, scores = [], []
         for _ in range(2):

@@ -182,25 +182,23 @@ class TestChannelScale:
 class TestMultiDctContext:
     def test_k1_is_scaled_mean(self):
         m = Tensor(rng_map((1, 3, 4, 6), seed=12))
-        ctx = blocks.MultiDctContext(dct.build_basis_set(4, 6, 1))(m)
+        ctx = blocks.MultiDctContext(4, 6, 1)(m)
         np.testing.assert_allclose(ctx.data, 4 * 6 * blocks.se_squeeze(m).data, atol=1e-10)
 
     def test_matches_brute_force(self):
         x = rng_map((1, 3, 4, 6), seed=13)
-        basis_set = dct.build_basis_set(4, 6, 4)
-        got = blocks.MultiDctContext(basis_set)(Tensor(x)).data
+        got = blocks.MultiDctContext(4, 6, 4)(Tensor(x)).data
         want = np.array([[
-            max(dct2_pool(x[0, c], b) for b in basis_set.components)
+            max(dct2_pool(x[0, c], grid) for grid in dct.basis_grids(4, 6, 4))
             for c in range(3)
         ]])
         np.testing.assert_allclose(got, want, atol=1e-10)
 
     def test_rescales_mismatched_extents(self):
         x = rng_map((1, 2, 8, 12), seed=14)
-        basis_set = dct.build_basis_set(4, 6, 3)
-        got = blocks.MultiDctContext(basis_set)(Tensor(x)).data
+        got = blocks.MultiDctContext(4, 6, 3)(Tensor(x)).data
         want = np.array([[
-            max(dct2_pool(adaptive_avg_pool(x[0, c], 4, 6), b) for b in basis_set.components)
+            max(dct2_pool(adaptive_avg_pool(x[0, c], 4, 6), grid) for grid in dct.basis_grids(4, 6, 3))
             for c in range(2)
         ]])
         np.testing.assert_allclose(got, want, atol=1e-10)
@@ -208,23 +206,24 @@ class TestMultiDctContext:
     def test_toy_grid_matches_pool_then_project(self):
         # a stage-sized batch on the toy 4x13 grid; neither extent divides
         x = rng_map((40, 8, 16, 50), seed=17)
-        basis_set = dct.build_basis_set(4, 13, 4)
-        got = blocks.MultiDctContext(basis_set)(Tensor(x)).data
+        got = blocks.MultiDctContext(4, 13, 4)(Tensor(x)).data
         want = np.array([[
-            max(dct2_pool(adaptive_avg_pool(x[n, c], 4, 13), b) for b in basis_set.components)
+            max(dct2_pool(adaptive_avg_pool(x[n, c], 4, 13), grid) for grid in dct.basis_grids(4, 13, 4))
             for c in range(8)
         ] for n in range(40)])
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_off_grid_input_gradient(self):
-        context = blocks.MultiDctContext(dct.build_basis_set(3, 4, 3))
+        context = blocks.MultiDctContext(3, 4, 3)
         target = Tensor(rng_map((2, 5), seed=19))
         fn = lambda t: T.mul(context(t), target).sum()
         assert T.finite_diff_check(fn, Tensor(rng_map((2, 5, 7, 10), seed=18))) < 1e-6
 
     def test_empty_basis_rejected(self):
-        with pytest.raises(ValueError):
-            blocks.MultiDctContext(dct.DctBasisSet((), 2, 2))
+        # an empty set (K = 0), more grids than the grid has, or an empty grid
+        for big_f, big_t, k in [(2, 2, 0), (2, 2, 5), (0, 3, 1)]:
+            with pytest.raises(ValueError):
+                blocks.MultiDctContext(big_f, big_t, k)
 
 
 def tfe_oracle(x, ctx, params):

@@ -28,8 +28,7 @@ def micro_doc(root, **train_overrides):
         "features": {"chunk": 40},
         "model": {"stage_channels": [2, 2, 4, 4], "blocks_per_stage": [1, 1, 1, 1],
                   "embed_dim": 8, "asp_hidden": 4,
-                  "block": {"kind": "dct_gcm", "reduction": 2, "dct_grid": [4, 1],
-                            "tfe_groups": 2}},
+                  "block": {"kind": "dct_gcm", "reduction": 2, "tfe_groups": 2}},
         "train": {"epochs": 1, "speakers_per_batch": 3, **train_overrides},
     }
 
@@ -96,10 +95,12 @@ class TestConfig:
         ("se", "se", False), ("att_gcm", "att_gcm", False), ("att_gcm_tfe", "att_gcm", True),
         ("dct_gcm", "dct_gcm", False), ("dct_gcm_tfe", "dct_gcm", True)])
     def test_toy_preset_is_defaults_plus_operating_point(self, variant, kind, tfe):
-        want = config.to_dict(config.RunConfig())
-        want["train"]["speakers_per_batch"] = 20
-        want["model"]["block"].update(kind=kind, tfe=tfe, dct_grid=[4, 13])
-        assert config.to_dict(config.toy_preset(variant)) == want
+        # a toy variant sets only the block kind and TFE; the defaults are the
+        # toy operating point
+        assert config.TOY_VARIANTS[variant] == (kind, tfe)
+        cfg = config.RunConfig()
+        cfg.model.block.kind, cfg.model.block.tfe = kind, tfe
+        assert config.validate(cfg).train.speakers_per_batch == 20
 
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
@@ -134,8 +135,6 @@ class TestConfig:
     def test_toy_preset_covers_five_variants(self):
         assert sorted(config.TOY_VARIANTS) == ["att_gcm", "att_gcm_tfe", "dct_gcm",
                                                "dct_gcm_tfe", "se"]
-        with pytest.raises(ConfigError, match="toy variant"):
-            config.toy_preset("resnet")
 
 
 # sha256 prefixes of the micro config's manifests and trial list
@@ -305,13 +304,18 @@ class TestTrainEval:
         assert code == cli.EXIT_DATA
         assert name in capsys.readouterr().err
 
-    @pytest.mark.parametrize("damage", [{"name": "x"}, {"seed": "seven"}],
-                             ids=["unknown_key", "seed_string"])
-    def test_checkpoint_config_is_data_error(self, trained, tmp_path, capsys, damage):
+    @pytest.mark.parametrize("section,damage", [((), {"name": "x"}), ((), {"seed": "seven"}),
+                                                (("model", "block"), {"dct_grid": [4, 3]})],
+                             ids=["unknown_key", "seed_string", "dct_grid"])
+    def test_checkpoint_config_is_data_error(self, trained, tmp_path, capsys, section, damage):
         _, doc = trained
         ckpt_doc, arrays = backbone.load_checkpoint(os.path.join(doc["out_dir"], "checkpoint.ckpt"))
+        target = ckpt_doc
+        for key in section:
+            target = target[key]
+        target.update(damage)
         broken = str(tmp_path / "bad_config.ckpt")
-        backbone.save_checkpoint(broken, arrays.items(), {**ckpt_doc, **damage})
+        backbone.save_checkpoint(broken, arrays.items(), ckpt_doc)
         trials = os.path.join(doc["data"]["data_dir"], "trials.txt")
         code = cli.main(["eval", "--checkpoint", broken, "--trials", trials,
                          "--out", str(tmp_path / "bad_config_eval")])
@@ -424,14 +428,17 @@ class TestShippedConfigs:
         assert cfg.model.embed_dim == 512
         assert cfg.model.stage_channels == [32, 64, 128, 256]
         assert cfg.model.block.reduction == 16
-        assert cfg.model.block.dct_grid == [8, 25]
 
     def test_toy_is_the_dct_gcm_toy_preset(self):
+        # the defaults are the toy operating point with a DCT-GCM block
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        cfg = config.load(os.path.join(root, "configs", "toy.json"))
-        want = config.toy_preset("dct_gcm")
-        want.seed, want.out_dir = cfg.seed, cfg.out_dir
-        assert config.to_dict(cfg) == config.to_dict(want)
+        with open(os.path.join(root, "configs", "toy.json")) as f:
+            doc = json.load(f)
+        want = config.to_dict(config.RunConfig())
+        assert want["model"]["block"]["kind"] == "dct_gcm"
+        assert doc.pop("out_dir") == "runs/toy"
+        del want["out_dir"]
+        assert doc == want
 
 
 class TestFullScaleConfig:
@@ -531,7 +538,7 @@ class TestExportDct:
         out = str(tmp_path / "check")
         cli.main(["export-dct", "--grid-f", "3", "--grid-t", "4",
                   "--components", "5", "--out", out])
-        pairs = dct.build_basis_set(3, 4, 5).index_pairs
+        pairs = dct.component_order(3, 4)[:5]
         for rank, (i, j) in enumerate(pairs):
             grid = np.loadtxt(os.path.join(out, f"dct_basis_{rank:03d}_i{i}_j{j}.csv"),
                               delimiter=",")
@@ -556,6 +563,8 @@ class TestExportDct:
 BAD_CONFIGS = {
     "dct_components_100": (("model", "block"), {"dct_components": 100}),
     "dct_grid_0x3": (("model", "block"), {"dct_grid": [0, 3]}),
+    # a removed field, at the value the network gives: the grid is derived
+    "dct_grid_4x3": (("model", "block"), {"dct_grid": [4, 3]}),
     "tfe_groups_3": (("model", "block"), {"tfe": True, "tfe_groups": 3}),
     "reduction_8": (("model", "block"), {"reduction": 8}),
     "f_max_10": (("features",), {"f_max": 10}),

@@ -733,7 +733,7 @@ class TestEveryDifferentiableOp:
         # full K=6 set spans every pooled map
         rng = np.random.default_rng(15)
         x = rng.normal(size=(1, 2, 5, 7))
-        grids = T.Tensor(dct.build_basis_set(2, 3, 6).pooled(5, 7))
+        grids = T.Tensor(dct.pooled_grids(2, 3, 6, 5, 7))
         c = T.Tensor(rng.normal(size=(1, 2, 6)))
         fn = lambda t: T.mul(T.einsum2("ncft,kft->nck", t, grids), c).sum()
         assert T.finite_diff_check(fn, T.Tensor(x)) < 1e-6
@@ -741,18 +741,17 @@ class TestEveryDifferentiableOp:
 
 class TestAdaptivePool:
     """Adaptive average pooling, which the DCT context folds into its grids
-    (``dct.DctBasisSet.pooled``)."""
+    (``dct.pooled_grids``)."""
 
     def test_identity_when_size_matches(self):
         np.testing.assert_array_equal(dct._pool_matrix(4, 4), np.eye(4))
-        basis_set = dct.build_basis_set(3, 4, 5)
-        np.testing.assert_array_equal(basis_set.pooled(3, 4), basis_set.stacked())
+        np.testing.assert_array_equal(dct.pooled_grids(3, 4, 5, 3, 4), dct.basis_grids(3, 4, 5))
 
     def test_global_pool_is_mean(self):
         x = np.random.default_rng(2).normal(size=(4, 5))
         np.testing.assert_allclose(dct._pool_matrix(4, 1) @ x @ dct._pool_matrix(5, 1).T, [[x.mean()]])
         # the (0, 0) grid is all ones, so its pooled form is a plain mean
-        np.testing.assert_allclose(dct.build_basis_set(1, 1, 1).pooled(4, 5), np.full((1, 4, 5), 1 / 20))
+        np.testing.assert_allclose(dct.pooled_grids(1, 1, 1, 4, 5), np.full((1, 4, 5), 1 / 20))
 
     def test_cell_means(self):
         x = np.arange(8.0).reshape(2, 4)
@@ -765,12 +764,11 @@ class TestAdaptivePool:
     # block before the first conv sees it), then stages 0 to 3
     @pytest.mark.parametrize("f,t", [(32, 100), (16, 50), (8, 25), (4, 13)])
     def test_pooled_is_the_plain_product_at_toy_stage_shapes(self, f, t):
-        basis_set = dct.build_basis_set(4, 13, 2)
-        grids = basis_set.pooled(f, t)
-        want = dct._pool_matrix(f, 4).T @ basis_set.stacked() @ dct._pool_matrix(t, 13)
+        grids = dct.pooled_grids(4, 13, 2, f, t)
+        want = dct._pool_matrix(f, 4).T @ dct.basis_grids(4, 13, 2) @ dct._pool_matrix(t, 13)
         np.testing.assert_array_equal(grids, want)
         assert grids.flags.c_contiguous and not grids.flags.writeable
-        assert basis_set.pooled(f, t) is grids
+        assert dct.pooled_grids(4, 13, 2, f, t) is grids
 
 
 class TestFinitePolicy:

@@ -6,7 +6,8 @@ import os
 import numpy as np
 import pytest
 
-from tfctx import backbone, config, features, losses, train
+from tfctx import backbone, blocks, config, features, losses, train
+from tfctx import tensor as T
 from tfctx.tensor import Tensor
 
 
@@ -108,7 +109,6 @@ LIVE_KNOBS = {
     "reduction": ({"transform": "fc"}, 4),
     "attention_hidden_ratio": ({"kind": "att_gcm"}, 0.5),
     "dct_components": ({"kind": "dct_gcm"}, 3),
-    "dct_grid": ({"kind": "dct_gcm"}, [2, 3]),
     "tfe_groups": ({"tfe": True}, 4),
     "insertion": ({}, "before_bn"),
     "stages": ({}, "last"),
@@ -130,7 +130,6 @@ class TestEveryBlockKnobIsLive:
         cfg.model.block.kind = "dct_gcm"
         cfg.model.block.reduction = 2
         cfg.model.block.tfe_groups = 2
-        cfg.model.block.dct_grid = [2, 2]
         for name, value in block_settings.items():
             setattr(cfg.model.block, name, value)
         embedder = train.build_embedder(config.validate(cfg), np.random.default_rng(0))
@@ -157,8 +156,8 @@ def layout_digest(embedder) -> str:
     return hashlib.sha256(repr(layout).encode()).hexdigest()
 
 
-# digests of the layouts of the 60 toy preset settings below and of the
-# full-scale config
+# digests of the layouts of the 60 toy settings below (the defaults with each
+# toy variant, insertion, stage set and transform) and of the full-scale config
 TOY_LAYOUTS_SHA256 = "b804ea70f237fa7fac51a111a55f5dbeb8693d2e9fdf0da589f8cf389434d6e4"
 FULL_SCALE_LAYOUT_SHA256 = "f2ef486a5cf94a68d0d746b5612bf4c4853f933f2b05c94b27027007c482a9c7"
 
@@ -171,10 +170,11 @@ class TestCheckpointLayout:
     def test_toy_presets(self):
         digest = hashlib.sha256()
         for variant, insertion, stages, transform in itertools.product(
-                sorted(config.TOY_VARIANTS), backbone.INSERTION_POSITIONS, ("all", "last"),
-                ("fc", "conv1d")):
-            cfg = config.toy_preset(variant)
+                sorted(config.TOY_VARIANTS), backbone.INSERTION_POSITIONS, backbone.GCM_STAGES,
+                blocks.GcmBlock.TRANSFORMS):
+            cfg = config.RunConfig()
             block = cfg.model.block
+            block.kind, block.tfe = config.TOY_VARIANTS[variant]
             block.insertion, block.stages, block.transform = insertion, stages, transform
             embedder = train.build_embedder(config.validate(cfg), np.random.default_rng(0))
             digest.update(layout_digest(embedder).encode())
@@ -191,3 +191,35 @@ class TestCheckpointLayout:
         assert [n for n, _ in head.named_parameters()] == ["head.weight", "head.bias"]
         assert [n for n, _ in losses.ProtoParams().named_parameters()] == ["proto.scale",
                                                                            "proto.bias"]
+
+
+class TestDctGridFromNetwork:
+    """A DCT block's grid is the extent of the last stage's map for a
+    ``chunk``-frame input."""
+
+    @pytest.mark.parametrize("name,grid", [("toy.json", (4, 13)), ("full_scale.json", (8, 25))])
+    def test_shipped_configs(self, monkeypatch, name, grid):
+        cfg = config.load(os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                                       "configs", name))
+        embedder = train.build_embedder(cfg, np.random.default_rng(0))
+        contexts = [block.gcm.context for stage in embedder.stages for block in stage]
+        assert {(c.big_f, c.big_t) for c in contexts} == {grid}
+        seen = []
+        call = blocks.GcmBlock.__call__
+        monkeypatch.setattr(blocks.GcmBlock, "__call__",
+                            lambda block, m: seen.append(m.shape[2:]) or call(block, m))
+        x = np.random.default_rng(1).normal(size=(1, 1, cfg.features.n_mels, cfg.features.chunk))
+        with T.no_grad():
+            embedder.forward(Tensor(x))
+        assert seen[-1] == grid
+
+
+class TestRandomCrop:
+    def test_default_utterance_is_longer_than_the_chunk(self):
+        # a shorter utterance is tiled, so chunk_frames(..., "random") would never crop
+        cfg = config.RunConfig()
+        samples = features.synth_utterance(features.make_speaker_spec(0, cfg.seed), 0, cfg.seed,
+                                           cfg.data.duration_s, cfg.features.sample_rate)
+        fbank = features.compute_fbank(features.Waveform(samples, cfg.features.sample_rate),
+                                       train.fbank_config(cfg))
+        assert fbank.shape[1] > cfg.features.chunk
