@@ -24,7 +24,7 @@ import numpy as np
 from . import blocks
 from . import tensor as T
 from .errors import DataError, NumericalError, ShapeError
-from .tensor import Module, RunningStats, Tensor
+from .tensor import Module, RunningStats, Segment, Tensor
 
 INSERTION_POSITIONS = ("after_bn", "before_bn", "before_conv")
 # the stages whose residual blocks get a context block
@@ -181,15 +181,30 @@ class Embedder(Module):
         self.head_b = Tensor(np.zeros(embed_dim), requires_grad=True)
 
     def members(self):
-        # the blocks sit in nested lists, and the head keeps its dotted names
-        yield "stem", self.stem
-        yield "stem_bn", self.stem_bn
+        # the segments' members in forward order: the blocks sit in nested
+        # lists, and the head keeps its dotted names
+        for segment in self.segments():
+            yield from segment.members()
+
+    def segments(self, training: bool = False) -> list[Segment]:
+        """The forward pass as one ordered chain: the stem with its batch
+        norm and relu, each residual block, then the pooling and the linear
+        head. Each segment reads only its own members' parameters."""
+        def stem(x):
+            return T.clamp_min(self.stem_bn(self.stem(x), training), 0.0)
+
+        def pool_head(y):
+            frames = T.reshape(y, (y.shape[0], self.frame_dim, y.shape[3]))
+            return T.linear(self.pool(frames), self.head_w, self.head_b)
+
+        chain = [Segment([("stem", self.stem), ("stem_bn", self.stem_bn)], stem)]
         for si, stage in enumerate(self.stages):
             for bi, block in enumerate(stage):
-                yield f"stage{si}.block{bi}", block
-        yield "pool", self.pool
-        yield "head.w", self.head_w
-        yield "head.b", self.head_b
+                chain.append(Segment([(f"stage{si}.block{bi}", block)],
+                                     lambda y, block=block: block(y, training)))
+        chain.append(Segment([("pool", self.pool), ("head.w", self.head_w),
+                              ("head.b", self.head_b)], pool_head))
+        return chain
 
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         """Copy parameters and batch-norm state from a checkpoint dict into
@@ -213,14 +228,10 @@ class Embedder(Module):
             raise ShapeError(f"expected (N, 1, F, T) input, got {x.shape}")
         if x.shape[2] != self.mel_bins:
             raise ShapeError(f"model built for {self.mel_bins} mel bins, got {x.shape[2]}")
-        y = T.clamp_min(self.stem_bn(self.stem(x), training), 0.0)
-        for stage in self.stages:
-            for block in stage:
-                y = block(y, training)
-        n = y.shape[0]
-        frames = T.reshape(y, (n, self.frame_dim, y.shape[3]))
-        pooled = self.pool(frames)
-        return T.linear(pooled, self.head_w, self.head_b)
+        y = x
+        for segment in self.segments(training):
+            y = segment(y)
+        return y
 
     def embed(self, x: Tensor, training: bool = False) -> Tensor:
         """Unit-norm embeddings; raises rather than dividing by a zero norm.
@@ -228,11 +239,16 @@ class Embedder(Module):
         Eval mode (``training`` False) runs under ``no_grad()``: it records
         no tape and returns a tensor with ``requires_grad`` False."""
         with contextlib.nullcontext() if training else T.no_grad():
-            raw = self.forward(x, training)
-            sq = T.reduce(T.mul(raw, raw), (1,), "sum", keepdims=True)
-            if np.any(sq.data <= 0.0):
-                raise NumericalError("embedding collapsed to the zero vector before normalization")
-            return T.div(raw, T.sqrt(sq))
+            return unit_norm(self.forward(x, training))
+
+
+def unit_norm(raw: Tensor) -> Tensor:
+    """(N, E) pre-normalization embeddings -> unit-norm rows; raises rather
+    than dividing by a zero norm."""
+    sq = T.reduce(T.mul(raw, raw), (1,), "sum", keepdims=True)
+    if np.any(sq.data <= 0.0):
+        raise NumericalError("embedding collapsed to the zero vector before normalization")
+    return T.div(raw, T.sqrt(sq))
 
 
 # -- analytic parameter counting ------------------------------------------------

@@ -7,6 +7,13 @@ reduction, and the step ``h`` is finite: an input within ``h`` of a kink
 makes the numeric side wrong on a correct engine (``full_network`` at seed
 34). The default seed, 1234, is checked to pass; redrawing inputs clear of
 every kink is ROADMAP open item 3.
+
+The full-network check is staged: the micro network's loss is the chain of
+``Embedder.segments`` plus a loss tail, and a perturbed parameter re-runs
+only the segments from the one that reads it on, starting from a
+cached segment input (``tensor.StagedLoss``). That is exact because no
+segment reads a later segment's parameters and no op mutates a cached
+input; the errors equal a whole-network re-run's bit for bit.
 """
 
 from __future__ import annotations
@@ -95,16 +102,24 @@ def micro_network(seed: int):
     return embedder, head, proto, x, labels
 
 
-def _full_network_error(seed: int) -> float:
+def full_network_loss(seed: int) -> T.StagedLoss:
+    """The micro network's training loss as a staged loss: the embedder's
+    own segments, then a tail that normalizes as ``Embedder.embed`` does
+    and applies the combined loss with the head and prototype parameters."""
     embedder, head, proto, x, labels = micro_network(seed)
 
-    def loss():
-        emb = embedder.embed(x, training=True)
-        total, _, _ = losses.combined_loss(emb.reshape((2, 2, 6)), labels, head, proto)
-        return total
+    def tail(raw):
+        emb = backbone.unit_norm(raw)
+        return losses.combined_loss(emb.reshape((2, 2, 6)), labels, head, proto)[0]
 
-    named = embedder.named_parameters() + head.named_parameters() + proto.named_parameters()
-    errs = T.finite_diff_check_params(loss, named)
+    segments = embedder.segments(training=True)
+    segments.append(T.Segment([("head", head), ("proto", proto)], tail))
+    return T.StagedLoss(segments, x)
+
+
+def _full_network_error(seed: int) -> float:
+    loss = full_network_loss(seed)
+    errs = T.finite_diff_check_params(loss, loss.named_parameters())
     return max(errs.values())
 
 

@@ -24,6 +24,15 @@ mutated between the forward pass and its ``backward``. The optimizer and
 the finite-difference checkers change parameters only after the analytic
 backward has run.
 
+The finite-difference loop can restart a loss part way through. A
+``StagedLoss`` is a chain of ``Segment``s, each reading only its own
+members' parameters, and it tags each parameter with the segment that
+reads it; per perturbation the loop then re-runs only the segments from
+that one on, starting from a cached segment input that was computed under
+``no_grad()``. Two rules keep this exact: no segment reads a later
+segment's parameters, and no op mutates its input's ``data``, so a cached
+input stays what a full re-run would compute.
+
 Every contraction, ``einsum2`` and its two VJPs as well as the three
 inside ``conv2d``, takes one route: ``_contract``, a batched matmul over a
 permutation plan cached per spec. Its values equal ``np.einsum``'s to
@@ -705,6 +714,22 @@ class Module:
         return out
 
 
+class Segment(Module):
+    """One link of a chain: ``fn`` maps the previous link's output to this
+    link's and reads only the parameters of ``members``, ``(name, value)``
+    pairs named as in the walk of the module that owns them."""
+
+    def __init__(self, members, fn: Callable[[Tensor], Tensor]):
+        self._members = list(members)
+        self._fn = fn
+
+    def members(self):
+        return self._members
+
+    def __call__(self, x: Tensor) -> Tensor:
+        return self._fn(x)
+
+
 def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5,
                  training: bool = True, running: RunningStats | None = None) -> Tensor:
     """Per-channel normalization of an (N, C, F, T) tensor.
@@ -783,15 +808,20 @@ def finite_diff_check(fn: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5
     return _central_differences(lambda: fn(probe), [("x", probe)], h)["x"]
 
 
-def finite_diff_check_params(loss_fn: Callable[[], Tensor],
-                             named_params: Iterable[tuple[str, Tensor]],
+def finite_diff_check_params(loss_fn: Callable[..., Tensor],
+                             named_params: Iterable[tuple],
                              h: float = 1e-5) -> dict[str, float]:
     """Check recorded gradients of named parameters against central
     differences.
 
     ``loss_fn`` re-runs the forward pass reading each parameter's current
     ``data``; parameters are perturbed in place for the numeric side, which
-    runs under ``no_grad()``.
+    runs under ``no_grad()``. Each entry of ``named_params`` is a
+    ``(name, tensor)`` pair, for which ``loss_fn()`` runs the whole loss,
+    or a ``(name, tensor, segment)`` triple (``StagedLoss.named_parameters``),
+    for which ``loss_fn(segment)`` runs it from that segment on and the
+    analytic side calls ``loss_fn(0)``. A pair is the one-segment case of
+    the same loop. ``loss_fn`` is called exactly once per evaluation.
     Returns the max relative error per parameter name.
     """
     return _central_differences(loss_fn, named_params, h)
@@ -800,32 +830,61 @@ def finite_diff_check_params(loss_fn: Callable[[], Tensor],
 def _central_differences(loss_fn, named_params, h: float) -> dict[str, float]:
     if h <= 0:
         raise ValueError("finite-difference step must be positive")
-    params = list(named_params)
-    for _, p in params:
+    # a pair's empty tag calls loss_fn with no argument
+    params = [(name, p, tuple(segment)) for name, p, *segment in named_params]
+    for _, p, _ in params:
         p.grad = None
-    loss_fn().backward()
+    loss_fn(*((0,) if any(segment for *_, segment in params) else ())).backward()
     analytic = {name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
-                for name, p in params}
-    for _, p in params:
+                for name, p, _ in params}
+    for _, p, _ in params:
         p.grad = None
 
     errors: dict[str, float] = {}
     with no_grad():
-        for name, p in params:
+        for name, p, segment in params:
             flat = p.data.reshape(-1)
             numeric = np.empty(flat.size)
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + h
-                up = loss_fn().item()
+                up = loss_fn(*segment).item()
                 flat[i] = orig - h
-                down = loss_fn().item()
+                down = loss_fn(*segment).item()
                 flat[i] = orig
                 numeric[i] = (up - down) / (2.0 * h)
             a = analytic[name].reshape(-1)
             denom = np.maximum(1.0, np.maximum(np.abs(a), np.abs(numeric)))
             errors[name] = float(np.max(np.abs(a - numeric) / denom)) if flat.size else 0.0
     return errors
+
+
+class StagedLoss:
+    """A scalar loss computed by a chain of segments from ``x``, restartable
+    at any segment: ``loss(start)`` runs the segments from ``start`` on,
+    from the cached input of segment ``start``. A missing input is filled on
+    demand, under ``no_grad()``, by the earlier segments. They never read
+    the one parameter the checker has perturbed, so the cache holds what a
+    full re-run computes in any perturbation order."""
+
+    def __init__(self, segments: Sequence[Segment], x: Tensor):
+        self.segments = list(segments)
+        self.inputs = [x]
+
+    def __call__(self, start: int = 0) -> Tensor:
+        with no_grad():
+            while len(self.inputs) <= start:
+                self.inputs.append(self.segments[len(self.inputs) - 1](self.inputs[-1]))
+        y = self.inputs[start]
+        for segment in self.segments[start:]:
+            y = segment(y)
+        return y
+
+    def named_parameters(self) -> list[tuple[str, Tensor, int]]:
+        """Every segment's parameters as ``(name, tensor, segment)``, tagged
+        with the segment that reads them."""
+        return [(name, p, i) for i, segment in enumerate(self.segments)
+                for name, p in segment.named_parameters()]
 
 
 # -- binary dump format -------------------------------------------------------
