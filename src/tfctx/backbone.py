@@ -242,46 +242,14 @@ class Embedder(Module):
             return unit_norm(self.forward(x, training))
 
 
-def unit_norm(raw: Tensor) -> Tensor:
-    """(N, E) pre-normalization embeddings -> unit-norm rows; raises rather
-    than dividing by a zero norm."""
-    sq = T.reduce(T.mul(raw, raw), (1,), "sum", keepdims=True)
+def unit_norm(rows: Tensor, what: str = "embedding") -> Tensor:
+    """(N, E) rows -> unit-norm rows; a zero row raises a NumericalError
+    that names ``what`` collapsed rather than dividing by its norm. The
+    embeddings and the prototypical loss's queries and prototypes share it."""
+    sq = T.reduce(T.mul(rows, rows), (1,), "sum", keepdims=True)
     if np.any(sq.data <= 0.0):
-        raise NumericalError("embedding collapsed to the zero vector before normalization")
-    return T.div(raw, T.sqrt(sq))
-
-
-# -- analytic parameter counting ------------------------------------------------
-
-
-def analytic_embedder_count(mel_bins: int, stage_channels, blocks_per_stage, stage_strides,
-                            stem_stride_f: int, embed_dim: int, asp_hidden: int,
-                            gcm_counter: Callable[[int], int] | None = None,
-                            gcm_stages: str = "all", insertion: str = "after_bn") -> int:
-    """Closed-form parameter total for a given architecture; the regression
-    tests assert it equals the instantiated model's count."""
-    def conv(cin, cout, k):
-        return cout * cin * k * k
-
-    def bn(c):
-        return 2 * c
-
-    total = conv(1, stage_channels[0], 3) + bn(stage_channels[0])
-    cin = stage_channels[0]
-    for si, (cout, n_blocks, stride) in enumerate(zip(stage_channels, blocks_per_stage, stage_strides)):
-        for bi in range(n_blocks):
-            s = stride if bi == 0 else 1
-            total += conv(cin, cout, 3) + bn(cout) + conv(cout, cout, 3) + bn(cout)
-            if s != 1 or cin != cout:
-                total += conv(cin, cout, 1) + bn(cout)
-            if gcm_counter is not None and (gcm_stages == "all" or si == len(stage_channels) - 1):
-                total += gcm_counter(cin if insertion == "before_conv" else cout)
-            cin = cout
-    frame_dim = stage_channels[-1] * final_extent(mel_bins, stem_stride_f, stage_strides,
-                                                  blocks_per_stage)
-    total += asp_hidden * frame_dim + asp_hidden + asp_hidden + 1
-    total += embed_dim * 2 * frame_dim + embed_dim
-    return total
+        raise NumericalError(f"{what} collapsed to the zero vector before normalization")
+    return T.div(rows, T.sqrt(sq))
 
 
 # -- checkpoint container ---------------------------------------------------------
@@ -311,7 +279,8 @@ def save_checkpoint(path: str, named_arrays, config: dict) -> None:
 
 def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
     """(config, named arrays) of a checkpoint. Any malformed file raises
-    DataError; a length field larger than the file does so before reading."""
+    DataError; a length field larger than the file does so before reading,
+    and so does an array holding a NaN or an infinity."""
     try:
         with open(path, "rb") as f:
             size = os.fstat(f.fileno()).st_size
@@ -332,6 +301,8 @@ def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
                     raise ValueError(f"tensor name length {name_len} exceeds the file")
                 name = f.read(name_len).decode()
                 arrays[name] = T.load_tensor(f)
+                if not np.isfinite(arrays[name]).all():
+                    raise DataError(f"corrupt checkpoint {path}: {name} holds non-finite values")
             return config, arrays
     except FileNotFoundError:
         raise DataError(f"checkpoint not found: {path}") from None

@@ -288,35 +288,3 @@ class GcmBlock(Module):
         if self.tfe is not None:
             scaled = tfe_enhance(scaled, logits, self.tfe)
         return scaled
-
-
-# -- parameter accounting ------------------------------------------------------------
-
-
-def parameter_count(named_params) -> int:
-    return sum(t.size for _, t in named_params)
-
-
-def analytic_gcm_count(channels: int, kind: str = "se", transform: str = "fc",
-                       reduction: int = 16, attention_hidden: int | None = None,
-                       tfe: bool = False, tfe_groups: int = 8) -> int:
-    """Closed-form parameter count of one block, kept in lockstep with the
-    actual tensors by a regression test.
-
-    Attention adds hidden*(C+2) + 1 (projection, its bias, the score vector
-    and one scalar score bias); an FC transform adds 2*C*(C//r); a conv
-    transform adds its kernel taps; enhancement adds the per-group mixing
-    matrices plus one scale and shift per group.
-    """
-    total = 0
-    if kind == "att_gcm":
-        hidden = attention_hidden if attention_hidden is not None else max(1, channels // 8)
-        total += hidden * (channels + 2) + 1
-    if transform == "fc":
-        total += 2 * channels * (channels // reduction)
-    else:
-        total += eca_kernel_size(channels)
-    if tfe:
-        d = channels // tfe_groups
-        total += tfe_groups * d * d + 2 * tfe_groups
-    return total

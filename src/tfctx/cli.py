@@ -32,19 +32,23 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="tfctx", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def common(p, checkpoint=False, trials=False):
+    def common(p, seed=True, out=True, checkpoint=False, trials=False):
         p.add_argument("--config", help="run-config JSON (defaults apply if omitted)")
-        p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--out", help="output directory (overrides config out_dir)")
+        if seed:
+            p.add_argument("--seed", type=int, help="override the config seed")
+        if out:
+            p.add_argument("--out", help="output directory (overrides config out_dir)")
         if checkpoint:
             p.add_argument("--checkpoint", required=True, help="model checkpoint path")
         if trials:
             p.add_argument("--trials", required=True, help="trial list file")
 
-    common(sub.add_parser("synth-data", help="generate the synthetic corpus, manifests and trials"))
+    # synth-data writes only under data.data_dir; eval takes its seed from the checkpoint
+    common(sub.add_parser("synth-data", help="generate the synthetic corpus, manifests and trials"),
+           out=False)
     common(sub.add_parser("train", help="train an embedder on the synthetic corpus"))
     common(sub.add_parser("eval", help="score a trial list with a trained model"),
-           checkpoint=True, trials=True)
+           seed=False, checkpoint=True, trials=True)
 
     p = sub.add_parser("sweep", help="train and score toy block variants at insertion positions")
     common(p)
@@ -108,8 +112,7 @@ def cmd_eval(args) -> int:
     # the checkpoint owns the model/features; the caller picks data and output
     ckpt_cfg.data = cfg.data
     trials = metrics.read_trials(args.trials)
-    out_dir = args.out or cfg.out_dir
-    report, _, _, skipped = train.evaluate_run(ckpt_cfg, embedder, trials, out_dir)
+    report, _, _, skipped = train.evaluate_run(ckpt_cfg, embedder, trials, cfg.out_dir)
     print(report)
     if skipped:
         for rel in skipped:

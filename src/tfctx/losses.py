@@ -13,7 +13,8 @@ import math
 import numpy as np
 
 from . import tensor as T
-from .errors import NumericalError, ShapeError
+from .backbone import unit_norm
+from .errors import ShapeError
 from .tensor import Module, Tensor
 
 
@@ -61,19 +62,12 @@ def prototypes(batch: Tensor) -> Tensor:
     return T.reduce(T.narrow(batch, 1, 0, m - 1), (1,), "mean")
 
 
-def _unit_rows(x: Tensor, what: str) -> Tensor:
-    sq = T.reduce(T.mul(x, x), (1,), "sum", keepdims=True)
-    if np.any(sq.data <= 0.0):
-        raise NumericalError(f"zero-norm {what} in prototypical loss")
-    return T.div(x, T.sqrt(sq))
-
-
 def angular_proto_loss(batch: Tensor, params: ProtoParams) -> Tensor:
     """Softmax over scaled cosines between each query and all prototypes."""
     n, m, d = _check_batch(batch)
     queries = T.reshape(T.narrow(batch, 1, m - 1, 1), (n, d))
     protos = prototypes(batch)
-    cosines = T.linear(_unit_rows(queries, "query"), _unit_rows(protos, "prototype"))
+    cosines = T.linear(unit_norm(queries, "query"), unit_norm(protos, "prototype"))
     logits = T.add(T.mul(cosines, params.scale), params.bias)
     return T.cross_entropy(logits, np.arange(n))
 

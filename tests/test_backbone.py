@@ -226,31 +226,6 @@ class TestTapeMemory:
         assert self._peak(steps, 3) <= 1.15 * self._peak(steps, 1)
 
 
-class TestParameterCount:
-    @pytest.mark.parametrize("gcm_kwargs,gcm_stages", [
-        (None, "all"),
-        (dict(kind="se", transform="fc", reduction=2), "all"),
-        (dict(kind="att_gcm", transform="fc", reduction=2, tfe=True, tfe_groups=2), "all"),
-        (dict(kind="att_gcm", transform="conv1d"), "last"),
-    ])
-    def test_actual_equals_analytic(self, gcm_kwargs, gcm_stages):
-        factory = make_gcm_factory(**gcm_kwargs) if gcm_kwargs else None
-        emb = toy_embedder(make_gcm=factory, gcm_stages=gcm_stages, seed=4)
-
-        counter = None
-        if gcm_kwargs:
-            counter = lambda c: blocks.analytic_gcm_count(
-                c, kind=gcm_kwargs.get("kind", "se"),
-                transform=gcm_kwargs.get("transform", "fc"),
-                reduction=gcm_kwargs.get("reduction", 16),
-                tfe=gcm_kwargs.get("tfe", False),
-                tfe_groups=gcm_kwargs.get("tfe_groups", 8))
-        want = backbone.analytic_embedder_count(
-            16, [4, 4, 8, 8], [1, 1, 1, 1], [1, 2, 2, 1], 2, 8, 4,
-            gcm_counter=counter, gcm_stages=gcm_stages)
-        assert blocks.parameter_count(emb.named_parameters()) == want
-
-
 class GatedConv(backbone.Conv2dLayer):
     """A conv that adds a parameter and a nested child and nothing else:
     no walk lists them."""
@@ -317,6 +292,17 @@ class TestCheckpoint:
         _, arrays = backbone.load_checkpoint(path)
         with pytest.raises(DataError):
             emb.load_arrays(arrays)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus_inf"])
+    def test_non_finite_entry_is_data_error(self, tmp_path, bad):
+        emb = toy_embedder(seed=8)
+        entries = [(n, p.data.copy()) for n, p in emb.named_parameters()] + list(emb.named_state())
+        name, arr = entries[5]
+        arr.flat[0] = bad
+        path = str(tmp_path / "model.ckpt")
+        backbone.save_checkpoint(path, entries, {})
+        with pytest.raises(DataError, match=f"{name} holds non-finite values"):
+            backbone.load_checkpoint(path)
 
     def test_missing_file(self):
         with pytest.raises(DataError):

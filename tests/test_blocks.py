@@ -360,27 +360,11 @@ class TestGcmBlock:
 
 
 class TestParameterCount:
-    @pytest.mark.parametrize("kwargs", [
-        dict(kind="se", transform="fc", reduction=4),
-        dict(kind="att_gcm", transform="fc", reduction=4),
-        dict(kind="att_gcm", transform="conv1d"),
-        dict(kind="dct_gcm", transform="fc", reduction=4, dct_grid=(3, 4)),
-        dict(kind="att_gcm", transform="fc", reduction=4, tfe=True, tfe_groups=4),
-        dict(kind="dct_gcm", transform="conv1d", dct_grid=(3, 4), tfe=True, tfe_groups=2),
-    ])
-    def test_actual_matches_analytic(self, kwargs):
-        block = blocks.GcmBlock(16, rng=np.random.default_rng(22), **kwargs)
-        analytic = blocks.analytic_gcm_count(
-            16, kind=kwargs.get("kind", "se"), transform=kwargs.get("transform", "fc"),
-            reduction=kwargs.get("reduction", 16), tfe=kwargs.get("tfe", False),
-            tfe_groups=kwargs.get("tfe_groups", 8))
-        assert blocks.parameter_count(block.named_parameters()) == analytic
-
     def test_attention_fc_closed_form(self):
         c, r, hidden = 32, 4, 32 // 8
         block = blocks.GcmBlock(c, kind="att_gcm", transform="fc", reduction=r,
                                 rng=np.random.default_rng(23))
-        assert blocks.parameter_count(block.named_parameters()) == \
+        assert sum(p.size for _, p in block.named_parameters()) == \
             2 * c * c // r + hidden * (c + 2) + 1
 
 

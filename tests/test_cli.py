@@ -286,6 +286,22 @@ class TestTrainEval:
         assert code == cli.EXIT_DATA
         assert dropped in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_checkpoint_non_finite_entry_is_data_error(self, trained, tmp_path, capsys, bad):
+        path, doc = trained
+        name = "stage1.block0.conv2.weight"
+        ckpt_doc, arrays = backbone.load_checkpoint(os.path.join(doc["out_dir"], "checkpoint.ckpt"))
+        arrays[name] = arrays[name].copy()
+        arrays[name].flat[3] = bad
+        broken = str(tmp_path / "non_finite.ckpt")
+        backbone.save_checkpoint(broken, arrays.items(), ckpt_doc)
+        trials = os.path.join(doc["data"]["data_dir"], "trials.txt")
+        code = cli.main(["eval", "--config", path, "--checkpoint", broken,
+                         "--trials", trials, "--out", str(tmp_path / "non_finite_eval")])
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and name in err and "non-finite" in err
+
     # (1,) would broadcast over the two channels and load silently
     @pytest.mark.parametrize("shape", [(1,), (), (3,)], ids=["one", "scalar", "three"])
     def test_checkpoint_state_shape_is_data_error(self, trained, tmp_path, capsys, shape):
@@ -686,6 +702,20 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate"])
         assert exc.value.code == 1
+
+    # synth-data writes only under data.data_dir, and eval takes its seed
+    # from the checkpoint: neither flag would change what the command does
+    @pytest.mark.parametrize("argv", [["synth-data", "--out", "elsewhere"],
+                                      ["eval", "--seed", "3", "--checkpoint", "m.ckpt",
+                                       "--trials", "trials.txt"]],
+                             ids=["synth_data_out", "eval_seed"])
+    def test_flag_the_command_ignores_is_usage_error(self, tmp_path, capsys, argv):
+        path, doc = micro_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--config", path])
+        assert exc.value.code == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not os.path.exists(doc["data"]["data_dir"])
 
     def test_config_error(self, tmp_path, capsys):
         bad = str(tmp_path / "bad.json")
