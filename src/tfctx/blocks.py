@@ -141,8 +141,6 @@ class Conv1dChannelTransform(Module):
     as one ``conv2d`` of the (N, 1, 1, C) view of the context with a
     (1, 1, 1, k) kernel, so tap j weighs channel c + j - k // 2."""
 
-    PREFIX = "conv1d"
-
     def __init__(self, channels: int, rng: np.random.Generator | None = None,
                  input_scale: float = 1.0):
         rng = rng if rng is not None else np.random.default_rng(0)
@@ -252,7 +250,6 @@ class GcmBlock(Module):
 
     CONTEXT_KINDS = ("se", "att_gcm", "dct_gcm")
     TRANSFORMS = ("fc", "conv1d")
-    PREFIX = "gcm"
 
     def __init__(self, channels: int, kind: str = "se", transform: str = "fc",
                  reduction: int = 16, attention_hidden: int | None = None,

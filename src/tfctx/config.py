@@ -19,18 +19,14 @@ from dataclasses import dataclass, field
 from .backbone import GCM_STAGES, INSERTION_POSITIONS
 from .blocks import GcmBlock
 from .errors import ConfigError
+from .features import FbankConfig
 from .optim import lr_schedule
 
 @dataclass
-class FeatureSection:
-    sample_rate: int = 16000
-    n_mels: int = 64
-    win_ms: float = 25.0
-    hop_ms: float = 10.0
-    fft_size: int = 512
-    f_min: float = 20.0
-    f_max: float | None = None  # null -> Nyquist
-    log_floor: float = 1e-10
+class FeatureSection(FbankConfig):
+    """The filterbank settings, checked as they are built, and the frames
+    per training and scoring chunk."""
+
     chunk: int = 200
 
 
@@ -90,15 +86,6 @@ class RunConfig:
     train: TrainSection = field(default_factory=TrainSection)
 
 
-_SECTION_TYPES = {
-    "features": FeatureSection,
-    "data": DataSection,
-    "model": ModelSection,
-    "train": TrainSection,
-    "block": BlockSection,
-}
-
-
 _JSON_TYPES = {bool: "boolean", int: "integer", float: "number", str: "string",
                list: "array", dict: "object", type(None): "null"}
 
@@ -113,8 +100,8 @@ def _build(cls, doc: dict, where: str):
     hints = typing.get_type_hints(cls)
     kwargs = {}
     for name, value in doc.items():
-        if name in _SECTION_TYPES:
-            kwargs[name] = _build(_SECTION_TYPES[name], value, f"{where}.{name}")
+        if dataclasses.is_dataclass(hints[name]):
+            kwargs[name] = _build(hints[name], value, f"{where}.{name}")
             continue
         # the field's declared type: a bool is no number, an integer is a
         # valid float, and null is allowed only where the default is None
@@ -125,7 +112,11 @@ def _build(cls, doc: dict, where: str):
                               f"{' or '.join(_JSON_TYPES[t] for t in declared)}, "
                               f"got {_JSON_TYPES.get(type(value), type(value).__name__)}")
         kwargs[name] = value
-    return cls(**kwargs)
+    # a section may check its values as it is built (FeatureSection does)
+    try:
+        return cls(**kwargs)
+    except (ArithmeticError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 _VALID = {
@@ -163,8 +154,7 @@ def validate(cfg: RunConfig) -> RunConfig:
     # the rate's extremes: the first and last epochs' (the lowest; a tiny base_lr or
     # lr_decay rounds them to 0) and the warm-up's end (base_lr * warmup_epochs)
     extremes = {0, min(tr.warmup_epochs, tr.epochs) - 1, tr.epochs - 1} - {-1}
-    if not all(0 < lr_schedule(epoch, tr.base_lr, tr.warmup_epochs, tr.lr_decay,
-                               tr.lr_decay_every) < math.inf for epoch in extremes):
+    if not all(0 < lr_schedule(epoch, tr) < math.inf for epoch in extremes):
         raise ConfigError("train: the learning rate is 0 or infinite within train.epochs")
     if cfg.features.chunk < 1:
         raise ConfigError("features.chunk must be positive")

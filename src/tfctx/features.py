@@ -80,20 +80,23 @@ class FbankConfig:
     hop_ms: float = 10.0
     fft_size: int = 512
     f_min: float = 20.0
-    f_max: float | None = None  # defaults to Nyquist
+    f_max: float | None = None  # None: Nyquist
     log_floor: float = 1e-10
 
     def __post_init__(self):
-        if self.f_max is None:
-            self.f_max = self.sample_rate / 2
-        if not 0 <= self.f_min < self.f_max <= self.sample_rate / 2:
-            raise ValueError(f"mel range [{self.f_min}, {self.f_max}] invalid for sr={self.sample_rate}")
+        if not 0 <= self.f_min < self.top_hz <= self.sample_rate / 2:
+            raise ValueError(f"mel range [{self.f_min}, {self.top_hz}] invalid for sr={self.sample_rate}")
         if self.fft_size < self.win_samples:
             raise ValueError(f"fft_size {self.fft_size} smaller than the {self.win_samples}-sample window")
         if self.win_samples < 1 or self.hop_samples < 1:
             raise ValueError(f"window {self.win_ms} ms and hop {self.hop_ms} ms must each span a sample")
         if not self.log_floor > 0:
             raise ValueError(f"log_floor must be positive, got {self.log_floor}")
+
+    @property
+    def top_hz(self) -> float:
+        """The mel range's upper edge: ``f_max``, or Nyquist when it is None."""
+        return self.sample_rate / 2 if self.f_max is None else self.f_max
 
     @property
     def win_samples(self) -> int:
@@ -144,7 +147,7 @@ def compute_fbank(wave_in: Waveform, cfg: FbankConfig) -> np.ndarray:
     frames = np.lib.stride_tricks.sliding_window_view(x, win)[::hop][:n_frames]
     spectrum = np.fft.rfft(frames * np.hamming(win), n=cfg.fft_size)
     power = spectrum.real ** 2 + spectrum.imag ** 2
-    energies = power @ mel_filterbank(cfg.sample_rate, cfg.n_mels, cfg.fft_size, cfg.f_min, cfg.f_max).T
+    energies = power @ mel_filterbank(cfg.sample_rate, cfg.n_mels, cfg.fft_size, cfg.f_min, cfg.top_hz).T
     # a C-contiguous result fixes the order in which mean_normalize's
     # reduction accumulates, and so the features' bits
     return np.ascontiguousarray(np.log(np.maximum(energies, cfg.log_floor)).T)

@@ -43,16 +43,11 @@ def _block_error(variant_kwargs: dict, seed: int) -> float:
     block = blocks.GcmBlock(8, reduction=4, dct_grid=(3, 4), dct_components=3,
                             tfe_groups=4, tfe_scale_init=0.4, rng=rng,
                             **variant_kwargs)
-    x = rng.normal(size=(2, 8, 3, 4))
+    x = Tensor(rng.normal(size=(2, 8, 3, 4)), requires_grad=True)
     target = Tensor(rng.normal(size=(2, 8, 3, 4)))
-
-    def loss_of(m):
-        return T.mul(block(m), target).sum()
-
-    input_err = T.finite_diff_check(loss_of, Tensor(x))
-    fixed = Tensor(x)
-    param_errs = T.finite_diff_check_params(lambda: loss_of(fixed), block.named_parameters())
-    return max([input_err, *param_errs.values()])
+    errs = T.finite_diff_check_params(lambda: T.mul(block(x), target).sum(),
+                                      [("x", x), *block.named_parameters()])
+    return max(errs.values())
 
 
 def _loss_errors(seed: int) -> dict[str, float]:
@@ -62,23 +57,15 @@ def _loss_errors(seed: int) -> dict[str, float]:
     head = losses.ClassifierHead(3, 6, rng)
     proto = losses.ProtoParams()
     labels = [0, 0, 1, 1, 2, 2]
+    x = Tensor(batch, requires_grad=True)
 
-    ce_in = T.finite_diff_check(
-        lambda t: losses.softmax_ce_loss(T.reshape(t, (6, 6)), labels, head), Tensor(batch))
-    fixed = Tensor(batch)
-    ce_params = T.finite_diff_check_params(
-        lambda: losses.softmax_ce_loss(T.reshape(fixed, (6, 6)), labels, head),
-        head.named_parameters())
-
-    proto_in = T.finite_diff_check(
-        lambda t: losses.angular_proto_loss(t, proto), Tensor(batch))
-    proto_params = T.finite_diff_check_params(
-        lambda: losses.angular_proto_loss(fixed, proto), proto.named_parameters())
-
-    return {
-        "loss_softmax_ce": max([ce_in, *ce_params.values()]),
-        "loss_angular_proto": max([proto_in, *proto_params.values()]),
-    }
+    ce = T.finite_diff_check_params(
+        lambda: losses.softmax_ce_loss(T.reshape(x, (6, 6)), labels, head),
+        [("x", x), *head.named_parameters()])
+    proto_errs = T.finite_diff_check_params(
+        lambda: losses.angular_proto_loss(x, proto), [("x", x), *proto.named_parameters()])
+    return {"loss_softmax_ce": max(ce.values()),
+            "loss_angular_proto": max(proto_errs.values())}
 
 
 def micro_network(seed: int):

@@ -24,10 +24,12 @@ class ProtoParams(Module):
 
     PREFIX = "proto"
     W_FLOOR = 1e-6
+    SCALE_INIT = 10.0
+    BIAS_INIT = -5.0
 
-    def __init__(self, scale_init: float = 10.0, bias_init: float = -5.0):
-        self.scale = Tensor(np.array([float(scale_init)]), requires_grad=True)
-        self.bias = Tensor(np.array([float(bias_init)]), requires_grad=True)
+    def __init__(self):
+        self.scale = Tensor(np.array([self.SCALE_INIT]), requires_grad=True)
+        self.bias = Tensor(np.array([self.BIAS_INIT]), requires_grad=True)
 
     def clamp_(self) -> None:
         np.maximum(self.scale.data, self.W_FLOOR, out=self.scale.data)

@@ -18,13 +18,13 @@ class AdamW:
     the step count is touched.
     """
 
-    def __init__(self, named_params, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8, weight_decay: float = 5e-5):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, named_params, lr: float = 1e-3, weight_decay: float = 5e-5):
         self.named_params: list[tuple[str, Tensor]] = list(named_params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
         self.m = [np.zeros(p.data.shape) for _, p in self.named_params]
         self.v = [np.zeros(p.data.shape) for _, p in self.named_params]
@@ -40,7 +40,7 @@ class AdamW:
                 raise NumericalError(f"non-finite gradient in {name}; aborting step")
         self.step_count += 1
         t = self.step_count
-        lr, beta1, beta2, eps, weight_decay = self.lr, self.beta1, self.beta2, self.eps, self.weight_decay
+        lr, beta1, beta2, eps, weight_decay = self.lr, self.BETA1, self.BETA2, self.EPS, self.weight_decay
         bc1 = 1.0 - beta1 ** t
         bc2 = 1.0 - beta2 ** t
         for (_, param), m, v in zip(self.named_params, self.m, self.v):
@@ -54,12 +54,13 @@ class AdamW:
             p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
 
 
-def lr_schedule(epoch: int, base_lr: float = 1e-3, warmup_epochs: int = 5,
-                decay: float = 0.75, decay_every: int = 18) -> float:
-    """Linear per-epoch ramp from base_lr/warmup_epochs up to base_lr, then
-    multiply by ``decay`` every ``decay_every`` epochs."""
+def lr_schedule(epoch: int, train) -> float:
+    """The rate of ``epoch`` under a config's train section: a linear
+    per-epoch ramp from base_lr/warmup_epochs up to base_lr, then a factor
+    of ``lr_decay`` every ``lr_decay_every`` epochs."""
     if epoch < 0:
         raise ValueError("epoch must be non-negative")
-    if warmup_epochs > 0 and epoch < warmup_epochs:
-        return base_lr * (epoch + 1) / warmup_epochs
-    return base_lr * decay ** ((epoch - warmup_epochs) // decay_every)
+    warmup = train.warmup_epochs
+    if warmup > 0 and epoch < warmup:
+        return train.base_lr * (epoch + 1) / warmup
+    return train.base_lr * train.lr_decay ** ((epoch - warmup) // train.lr_decay_every)

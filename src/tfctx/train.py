@@ -67,12 +67,10 @@ def build_embedder(cfg: RunConfig, rng: np.random.Generator) -> backbone.Embedde
 
 
 def fbank_config(cfg: RunConfig) -> features.FbankConfig:
-    """The config's filterbank settings; invalid ones are a ConfigError."""
-    f = cfg.features
+    """The config's filterbank settings, checked again, since a section
+    changed after loading is not; invalid ones are a ConfigError."""
     try:
-        return features.FbankConfig(sample_rate=f.sample_rate, n_mels=f.n_mels, win_ms=f.win_ms,
-                                    hop_ms=f.hop_ms, fft_size=f.fft_size, f_min=f.f_min,
-                                    f_max=f.f_max, log_floor=f.log_floor)
+        return dataclasses.replace(cfg.features)
     except _BUILD_ERRORS as exc:
         raise ConfigError(f"features: {exc}") from exc
 
@@ -183,8 +181,7 @@ def train_run(cfg: RunConfig, out_dir: str, quiet: bool = False) -> str:
         step = 0
         last = None
         for epoch in range(tr.epochs):
-            lr = optim.lr_schedule(epoch, tr.base_lr, tr.warmup_epochs,
-                                   tr.lr_decay, tr.lr_decay_every)
+            lr = optim.lr_schedule(epoch, tr)
             opt.lr = lr
             for batch in _batches(manifest, tr.speakers_per_batch, m, rng):
                 maps = np.stack([
@@ -322,7 +319,9 @@ class SweepRow(NamedTuple):
 def sweep(base: RunConfig, variants, insertions, quiet: bool = False) -> list[SweepRow]:
     """Train and score one run per (variant, insertion) pair on the base
     config's corpus, synthesizing the corpus first if its train manifest is
-    missing; prints the table of results unless quiet.
+    missing; prints the table of results unless quiet. Every run's model
+    and filterbank are built first, so a run that cannot be built is a
+    ConfigError before anything is written.
 
     Variants are names in ``config.TOY_VARIANTS``, which set the block kind
     and TFE on a copy of the base; everything else comes from the base.
@@ -336,7 +335,10 @@ def sweep(base: RunConfig, variants, insertions, quiet: bool = False) -> list[Sw
             cfg.model.block.kind, cfg.model.block.tfe = TOY_VARIANTS[variant]
             cfg.model.block.insertion = insertion
             cfg.out_dir = os.path.join(base.out_dir, f"{variant}_{insertion}")
-            runs.append(validate(cfg))
+            # train_run's prelude, for its ConfigError only
+            fbank_config(validate(cfg))
+            build_embedder(cfg, np.random.default_rng(cfg.seed))
+            runs.append(cfg)
     if not os.path.exists(os.path.join(base.data.data_dir, TRAIN_MANIFEST)):
         synth_corpus(base, quiet=quiet)
     trials = metrics.read_trials(os.path.join(base.data.data_dir, TRIALS_FILE))

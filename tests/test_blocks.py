@@ -143,7 +143,7 @@ class TestChannelExcite:
         assert T.finite_diff_check(loss_of, Tensor(x)) < 1e-6
         fixed = Tensor(x)
         errors = T.finite_diff_check_params(lambda: loss_of(fixed), tr.named_parameters())
-        assert errors["conv1d.kernel"] < 1e-6
+        assert errors["kernel"] < 1e-6
 
     def test_fc_matches_matrix_loop_oracle(self):
         tr = blocks.FcChannelTransform(32, reduction=16, rng=np.random.default_rng(10))

@@ -82,6 +82,18 @@ class TestConfig:
         with pytest.raises(ConfigError, match="kind"):
             config.from_dict({"model": {"block": {"kind": "senet"}}})
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("fft_size", 256, "fft_size 256 smaller than the 400-sample window"),
+        ("f_min", 9000.0, r"mel range \[9000.0, 8000.0\] invalid"),
+        ("win_ms", 1e305, "cannot convert float infinity to integer")],
+        ids=["fft_size_256", "f_min_9000", "win_ms_overflow"])
+    def test_bad_feature_setting_fails_at_load(self, field, value, message):
+        """The features section is the filterbank's settings, checked as
+        the loader builds it; a window too long to count in samples
+        overflows there."""
+        with pytest.raises(ConfigError, match=rf"^config.features: {message}"):
+            config.from_dict({"features": {field: value}})
+
     def test_defaults_are_valid(self):
         cfg = config.from_dict({})
         assert cfg.features.chunk == 200
@@ -122,8 +134,7 @@ class TestConfig:
             return
         tr = cfg.train
         for epoch in range(tr.epochs):
-            lr = optim.lr_schedule(epoch, tr.base_lr, tr.warmup_epochs, tr.lr_decay,
-                                   tr.lr_decay_every)
+            lr = optim.lr_schedule(epoch, tr)
             assert math.isfinite(lr) and lr > 0, (epoch, lr)
         for build in (lambda: train.build_embedder(cfg, np.random.default_rng(0)),
                       lambda: train.fbank_config(cfg)):
@@ -421,6 +432,25 @@ class TestSweep:
         cfg.data.num_speakers = 3
         [row] = train.sweep(cfg, ["se"], ["after_bn"], quiet=True)
         assert row.report.startswith("EER=") and not row.skipped
+
+    @pytest.mark.parametrize("section,updates", [(("features",), {"fft_size": 256}),
+                                                 (("model", "block"), {"reduction": 64})],
+                             ids=["fft_size_256", "reduction_64"])
+    def test_run_that_cannot_be_built_writes_nothing(self, tmp_path, capsys, section, updates):
+        """A feature setting the filterbank rejects fails as the config
+        loads, and a model setting no run can build fails before the corpus
+        is synthesized: the sweep writes no corpus and no run."""
+        path, doc = micro_config(tmp_path)
+        target = doc
+        for key in section:
+            target = target[key]
+        target.update(updates)
+        with open(path, "w") as f:
+            json.dump(doc, f)
+        assert cli.main(["sweep", "--config", path]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not os.path.exists(doc["data"]["data_dir"])
+        assert not os.path.exists(doc["out_dir"])
 
     @pytest.mark.parametrize("option,value", [("--variants", "bogus"), ("--insertions", "none")])
     def test_unknown_choice_is_usage_error(self, tmp_path, capsys, option, value):

@@ -14,7 +14,7 @@ from tfctx.features import FbankConfig, Waveform
 
 def mel_filter_centers(cfg: FbankConfig) -> np.ndarray:
     """Center frequency (Hz) of each triangular filter."""
-    mels = np.linspace(features.hz_to_mel(cfg.f_min), features.hz_to_mel(cfg.f_max), cfg.n_mels + 2)
+    mels = np.linspace(features.hz_to_mel(cfg.f_min), features.hz_to_mel(cfg.top_hz), cfg.n_mels + 2)
     return features.mel_to_hz(mels)[1:-1]
 
 

@@ -1,11 +1,12 @@
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tfctx import losses, optim
+from tfctx import config, losses, optim
 from tfctx import tensor as T
 from tfctx.errors import NumericalError, ShapeError
 from tfctx.tensor import Tensor
@@ -54,7 +55,9 @@ class TestAngularProtoLoss:
         batch = np.zeros((2, 2, 4))
         batch[0, :, 0] = 1.0  # prototype and query identical, axis 0
         batch[1, :, 1] = 1.0  # orthogonal speaker on axis 1
-        params = losses.ProtoParams(scale_init=10.0, bias_init=0.0)
+        params = losses.ProtoParams()
+        params.bias.data[:] = 0.0
+        assert params.scale.data[0] == 10.0
         loss = losses.angular_proto_loss(Tensor(batch), params)
         assert loss.item() == pytest.approx(math.log(1 + math.exp(-10)), rel=1e-10)
         assert loss.item() == pytest.approx(4.5399e-5, abs=1e-9)
@@ -189,9 +192,10 @@ class TestAdamW:
 
     def test_ten_steps_match_reference_trace(self):
         rng = np.random.default_rng(17)
-        lr, b1, b2, eps, wd = 1e-2, 0.9, 0.999, 1e-8, 5e-5
-        (p,), opt = adamw_on(rng.normal(size=(4,)), lr=lr, beta1=b1, beta2=b2, eps=eps,
-                             weight_decay=wd)
+        lr, wd = 1e-2, 5e-5
+        b1, b2, eps = optim.AdamW.BETA1, optim.AdamW.BETA2, optim.AdamW.EPS
+        assert (b1, b2, eps) == (0.9, 0.999, 1e-8)
+        (p,), opt = adamw_on(rng.normal(size=(4,)), lr=lr, weight_decay=wd)
         ref = p.data.copy()
         grads = [rng.normal(size=(4,)) for _ in range(10)]
 
@@ -216,18 +220,23 @@ class TestAdamW:
         assert not opt.m[0].any() and not opt.v[0].any()
 
 
+# the full-scale schedule: base 1e-3, 5 warm-up epochs, 0.75 every 18 epochs
+FULL_SCALE = config.load(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                      "configs", "full_scale.json")).train
+
+
 class TestLrSchedule:
     @pytest.mark.parametrize("epoch,want", [
         (0, 2e-4), (4, 1e-3), (5, 1e-3), (22, 1e-3), (23, 7.5e-4), (41, 5.625e-4),
     ])
     def test_reference_points(self, epoch, want):
-        assert optim.lr_schedule(epoch) == pytest.approx(want, rel=1e-12)
+        assert optim.lr_schedule(epoch, FULL_SCALE) == pytest.approx(want, rel=1e-12)
 
     def test_negative_epoch(self):
         with pytest.raises(ValueError):
-            optim.lr_schedule(-1)
+            optim.lr_schedule(-1, FULL_SCALE)
 
     @given(st.integers(5, 400))
     @settings(max_examples=60, deadline=None)
     def test_non_increasing_after_warmup(self, epoch):
-        assert optim.lr_schedule(epoch + 1) <= optim.lr_schedule(epoch)
+        assert optim.lr_schedule(epoch + 1, FULL_SCALE) <= optim.lr_schedule(epoch, FULL_SCALE)
