@@ -188,14 +188,14 @@ class Embedder(Module):
 
     def segments(self, training: bool = False) -> list[Segment]:
         """The forward pass as one ordered chain: the stem with its batch
-        norm and relu, each residual block, then the pooling and the linear
-        head. Each segment reads only its own members' parameters."""
+        norm and relu, each residual block, then pooling, head and unit
+        norm. Each segment reads only its own members' parameters."""
         def stem(x):
             return T.clamp_min(self.stem_bn(self.stem(x), training), 0.0)
 
         def pool_head(y):
             frames = T.reshape(y, (y.shape[0], self.frame_dim, y.shape[3]))
-            return T.linear(self.pool(frames), self.head_w, self.head_b)
+            return unit_norm(T.linear(self.pool(frames), self.head_w, self.head_b))
 
         chain = [Segment([("stem", self.stem), ("stem_bn", self.stem_bn)], stem)]
         for si, stage in enumerate(self.stages):
@@ -222,24 +222,19 @@ class Embedder(Module):
         for name, target in live:
             target[...] = arrays[name]
 
-    def forward(self, x: Tensor, training: bool = False) -> Tensor:
-        """(N, 1, F, T) feature maps -> pre-normalization embeddings (N, E)."""
+    def embed(self, x: Tensor, training: bool = False) -> Tensor:
+        """(N, 1, F, T) maps -> unit-norm embeddings; raises rather than dividing by a zero norm.
+
+        Eval mode (``training`` False) runs under ``no_grad()``: it records
+        no tape and returns a tensor with ``requires_grad`` False."""
         if x.ndim != 4 or x.shape[1] != 1:
             raise ShapeError(f"expected (N, 1, F, T) input, got {x.shape}")
         if x.shape[2] != self.mel_bins:
             raise ShapeError(f"model built for {self.mel_bins} mel bins, got {x.shape[2]}")
-        y = x
-        for segment in self.segments(training):
-            y = segment(y)
-        return y
-
-    def embed(self, x: Tensor, training: bool = False) -> Tensor:
-        """Unit-norm embeddings; raises rather than dividing by a zero norm.
-
-        Eval mode (``training`` False) runs under ``no_grad()``: it records
-        no tape and returns a tensor with ``requires_grad`` False."""
         with contextlib.nullcontext() if training else T.no_grad():
-            return unit_norm(self.forward(x, training))
+            for segment in self.segments(training):
+                x = segment(x)
+        return x
 
 
 def unit_norm(rows: Tensor, what: str = "embedding") -> Tensor:

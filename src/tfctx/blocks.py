@@ -47,10 +47,10 @@ class AttentionContext(Module):
     (N, D, 1, T) frames.
     """
 
-    def __init__(self, channels: int, hidden: int | None = None, rng: np.random.Generator | None = None):
+    def __init__(self, channels: int, hidden: int, rng: np.random.Generator | None = None):
         rng = rng if rng is not None else np.random.default_rng(0)
         self.channels = channels
-        self.hidden = hidden if hidden is not None else max(1, channels // 8)
+        self.hidden = hidden
         self.proj = Tensor(rng.normal(0.0, 1.0 / math.sqrt(channels), (self.hidden, channels)),
                            requires_grad=True)
         self.proj_bias = Tensor(np.zeros(self.hidden), requires_grad=True)
@@ -253,7 +253,7 @@ class GcmBlock(Module):
 
     def __init__(self, channels: int, kind: str = "se", transform: str = "fc",
                  reduction: int = 16, attention_hidden: int | None = None,
-                 dct_components: int = 2, dct_grid: tuple[int, int] = (8, 25),
+                 dct_components: int = 2, dct_grid: tuple[int, int] | None = None,
                  tfe: bool = False, tfe_groups: int = 8, tfe_scale_init: float = 0.0,
                  rng: np.random.Generator | None = None):
         rng = rng if rng is not None else np.random.default_rng(0)

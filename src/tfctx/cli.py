@@ -8,7 +8,6 @@ failure (non-finite loss or a failed gradient check).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import config as config_mod
@@ -92,17 +91,7 @@ def cmd_synth_data(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
-    out_dir = cfg.out_dir
-    try:
-        path = train.train_run(cfg, out_dir)
-    except NumericalError as exc:
-        print(f"training aborted: {exc}", file=sys.stderr)
-        kept = sorted(p for p in os.listdir(out_dir) if p.startswith("checkpoint_epoch")) \
-            if os.path.isdir(out_dir) else []
-        if kept:
-            print(f"last good checkpoint: {os.path.join(out_dir, kept[-1])}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    print(f"checkpoint written to {path}")
+    print(f"checkpoint written to {train.train_run(cfg, cfg.out_dir)}")
     return EXIT_OK
 
 

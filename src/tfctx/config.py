@@ -71,9 +71,6 @@ class TrainSection:
     utts_per_speaker_batch: int = 2
     base_lr: float = 2e-3
     warmup_epochs: int = 1
-    lr_decay: float = 0.75
-    lr_decay_every: int = 18
-    weight_decay: float = 5e-5
 
 
 @dataclass
@@ -145,14 +142,11 @@ def validate(cfg: RunConfig) -> RunConfig:
             ("speakers_per_batch", tr.speakers_per_batch >= 2, "at least 2"),
             ("utts_per_speaker_batch", tr.utts_per_speaker_batch >= 2, "at least 2"),
             ("base_lr", 0 < tr.base_lr < math.inf, "positive and finite"),
-            ("warmup_epochs", tr.warmup_epochs >= 0, "non-negative"),
-            ("lr_decay", 0 < tr.lr_decay <= 1, "in (0, 1]"),
-            ("lr_decay_every", tr.lr_decay_every >= 1, "at least 1"),
-            ("weight_decay", 0 <= tr.weight_decay < math.inf, "non-negative and finite")):
+            ("warmup_epochs", tr.warmup_epochs >= 0, "non-negative")):
         if not ok:
             raise ConfigError(f"train.{name} must be {wanted}, got {getattr(tr, name)!r}")
-    # the rate's extremes: the first and last epochs' (the lowest; a tiny base_lr or
-    # lr_decay rounds them to 0) and the warm-up's end (base_lr * warmup_epochs)
+    # the rate's extremes: the first and last epochs' (the lowest; a tiny base_lr
+    # rounds them to 0) and the warm-up's end (base_lr * warmup_epochs)
     extremes = {0, min(tr.warmup_epochs, tr.epochs) - 1, tr.epochs - 1} - {-1}
     if not all(0 < lr_schedule(epoch, tr) < math.inf for epoch in extremes):
         raise ConfigError("train: the learning rate is 0 or infinite within train.epochs")

@@ -8,12 +8,12 @@ makes the numeric side wrong on a correct engine (``full_network`` at seed
 34). The default seed, 1234, is checked to pass; redrawing inputs clear of
 every kink is ROADMAP open item 3.
 
-The full-network check is staged: the micro network's loss is the chain of
-``Embedder.segments`` plus a loss tail, and a perturbed parameter re-runs
-only the segments from the one that reads it on, starting from a
-cached segment input (``tensor.StagedLoss``). That is exact because no
-segment reads a later segment's parameters and no op mutates a cached
-input; the errors equal a whole-network re-run's bit for bit.
+The full-network check is staged: the micro network's loss is the chain
+``Embedder.embed`` runs (``Embedder.segments``) plus a loss tail, and a
+perturbed parameter re-runs only the segments from the one that reads it
+on, starting from a cached segment input (``tensor.StagedLoss``). That is
+exact because no segment reads a later segment's parameters and no op
+mutates a cached input; the errors equal a whole-network re-run's bit for bit.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ TOLERANCE = 1e-4
 BLOCK_VARIANTS = [
     ("se_fc", dict(kind="se", transform="fc")),
     ("se_conv1d", dict(kind="se", transform="conv1d")),
-    ("att_gcm_fc", dict(kind="att_gcm", transform="fc")),
-    ("att_gcm_conv1d", dict(kind="att_gcm", transform="conv1d")),
-    ("att_gcm_tfe", dict(kind="att_gcm", transform="fc", tfe=True)),
+    ("att_gcm_fc", dict(kind="att_gcm", transform="fc", attention_hidden=1)),
+    ("att_gcm_conv1d", dict(kind="att_gcm", transform="conv1d", attention_hidden=1)),
+    ("att_gcm_tfe", dict(kind="att_gcm", transform="fc", attention_hidden=1, tfe=True)),
     ("dct_gcm_fc", dict(kind="dct_gcm", transform="fc")),
     ("dct_gcm_conv1d", dict(kind="dct_gcm", transform="conv1d")),
     ("dct_gcm_tfe", dict(kind="dct_gcm", transform="fc", tfe=True)),
@@ -90,13 +90,12 @@ def micro_network(seed: int):
 
 
 def full_network_loss(seed: int) -> T.StagedLoss:
-    """The micro network's training loss as a staged loss: the embedder's
-    own segments, then a tail that normalizes as ``Embedder.embed`` does
-    and applies the combined loss with the head and prototype parameters."""
+    """The micro network's training loss as a staged loss: the segments
+    ``Embedder.embed`` runs, then a tail that applies the combined loss
+    with the head and prototype parameters."""
     embedder, head, proto, x, labels = micro_network(seed)
 
-    def tail(raw):
-        emb = backbone.unit_norm(raw)
+    def tail(emb):
         return losses.combined_loss(emb.reshape((2, 2, 6)), labels, head, proto)[0]
 
     segments = embedder.segments(training=True)

@@ -205,8 +205,12 @@ def read_scores(path: str) -> list[tuple[str, str, float]]:
 
 
 def match_scores(trials: TrialSet, scored: list[tuple[str, str, float]]) -> np.ndarray:
-    """Align a score file with a trial list by (enroll, test) id pair."""
-    table = {(e, t): s for e, t, s in scored}
+    """Align a score file with a trial list by (enroll, test) id pair; a
+    pair may repeat, but two different scores for one are a DataError."""
+    table = {}
+    for e, t, s in scored:
+        if table.setdefault((e, t), s) != s:
+            raise DataError(f"two different scores for trial ({e}, {t}): {table[(e, t)]} and {s}")
     out = np.empty(len(trials))
     for i, (e, t) in enumerate(zip(trials.enroll_ids, trials.test_ids)):
         if (e, t) not in table:

@@ -669,13 +669,14 @@ def conv2d(x: Tensor, weight: Tensor, stride: tuple[int, int], padding: tuple[in
 class RunningStats:
     """Per-channel running mean/variance for batch norm inference."""
 
-    def __init__(self, channels: int, momentum: float = 0.1):
+    MOMENTUM = 0.1
+
+    def __init__(self, channels: int):
         self.mean = np.zeros(channels)
         self.var = np.ones(channels)
-        self.momentum = momentum
 
     def update(self, mean: np.ndarray, var: np.ndarray) -> None:
-        m = self.momentum
+        m = self.MOMENTUM
         self.mean = (1.0 - m) * self.mean + m * mean
         self.var = (1.0 - m) * self.var + m * var
 

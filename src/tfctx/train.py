@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import glob
 import json
 import os
 import time
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import backbone, blocks, features, losses, metrics, optim
 from .config import TOY_VARIANTS, RunConfig, from_dict, to_dict, validate
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NumericalError
 # save_tensor is unused here, but tfbench's tracer patches train.save_tensor by name
 from .tensor import Tensor, save_tensor
 
@@ -144,10 +145,11 @@ def _check_corpus(cfg: RunConfig) -> None:
 
 def train_run(cfg: RunConfig, out_dir: str, quiet: bool = False) -> str:
     """Train per the config; returns the final checkpoint path. Writes
-    train.log (replacing an earlier run's) and one checkpoint per epoch; a
-    non-finite loss or gradient aborts with the last finished epoch's
-    checkpoint kept on disk. The model and the filterbank are built, and
-    the corpus checked against the config, before any audio is read."""
+    train.log and one checkpoint per epoch into out_dir, replacing an
+    earlier run's log and removing its checkpoints. A non-finite loss or
+    gradient aborts with a NumericalError naming this run's last checkpoint,
+    if any. The model and the filterbank are built, and the corpus checked
+    against the config, before any audio is read."""
     fbank_config(cfg)
     rng = np.random.default_rng(cfg.seed)
     embedder = build_embedder(cfg, rng)
@@ -164,7 +166,7 @@ def train_run(cfg: RunConfig, out_dir: str, quiet: bool = False) -> str:
 
     named = embedder.named_parameters() + head.named_parameters() + proto.named_parameters()
     tr = cfg.train
-    opt = optim.AdamW(named, lr=tr.base_lr, weight_decay=tr.weight_decay)
+    opt = optim.AdamW(named, lr=tr.base_lr)
 
     m = tr.utts_per_speaker_batch
     chunk = cfg.features.chunk
@@ -172,45 +174,55 @@ def train_run(cfg: RunConfig, out_dir: str, quiet: bool = False) -> str:
     log_path = os.path.join(out_dir, "train.log")
     final_path = os.path.join(out_dir, "checkpoint.ckpt")
     config_doc = to_dict(cfg)
+    # an earlier run's checkpoints would pass for this run's
+    for name in glob.glob("checkpoint*.ckpt", root_dir=out_dir):
+        if name == "checkpoint.ckpt" or name.startswith("checkpoint_epoch"):
+            os.remove(os.path.join(out_dir, name))
 
     def save(path):
         entries = [(n, p.data) for n, p in named] + list(embedder.named_state())
         backbone.save_checkpoint(path, entries, config_doc)
 
-    with open(log_path, "w") as log:
-        step = 0
-        last = None
-        for epoch in range(tr.epochs):
-            lr = optim.lr_schedule(epoch, tr)
-            opt.lr = lr
-            for batch in _batches(manifest, tr.speakers_per_batch, m, rng):
-                maps = np.stack([
-                    features.chunk_frames(feats[rel], chunk, "random", rng)
-                    for _, pair in batch for rel in pair
-                ])
-                labels = [spk_index[spk] for spk, pair in batch for _ in pair]
-                x = Tensor(maps[:, None, :, :])
+    saved = None
+    try:
+        with open(log_path, "w") as log:
+            step = 0
+            last = None
+            for epoch in range(tr.epochs):
+                lr = optim.lr_schedule(epoch, tr)
+                opt.lr = lr
+                for batch in _batches(manifest, tr.speakers_per_batch, m, rng):
+                    maps = np.stack([
+                        features.chunk_frames(feats[rel], chunk, "random", rng)
+                        for _, pair in batch for rel in pair
+                    ])
+                    labels = [spk_index[spk] for spk, pair in batch for _ in pair]
+                    x = Tensor(maps[:, None, :, :])
 
-                emb = embedder.embed(x, training=True)
-                grouped = emb.reshape((len(batch), m, cfg.model.embed_dim))
-                total, ce, pl = losses.combined_loss(grouped, labels, head, proto)
+                    emb = embedder.embed(x, training=True)
+                    grouped = emb.reshape((len(batch), m, cfg.model.embed_dim))
+                    total, ce, pl = losses.combined_loss(grouped, labels, head, proto)
 
-                opt.zero_grad()
-                total.backward()
-                opt.step()
-                proto.clamp_()
+                    opt.zero_grad()
+                    total.backward()
+                    opt.step()
+                    proto.clamp_()
 
-                step += 1
-                last = (total.item(), ce, pl)
-                log.write(f"{epoch} {step} {lr:.8g} {ce:.8g} {pl:.8g} {last[0]:.8g}\n")
-                log.flush()
-            if step == 0:
-                raise DataError("manifest cannot form a single batch "
-                                f"({m} utterances per speaker needed)")
-            save(os.path.join(out_dir, f"checkpoint_epoch{epoch:03d}.ckpt"))
-            if not quiet:
-                print(f"epoch {epoch}: lr={lr:.3g} loss={last[0]:.4f} "
-                      f"(ce={last[1]:.4f} proto={last[2]:.4f})")
+                    step += 1
+                    last = (total.item(), ce, pl)
+                    log.write(f"{epoch} {step} {lr:.8g} {ce:.8g} {pl:.8g} {last[0]:.8g}\n")
+                    log.flush()
+                if step == 0:
+                    raise DataError("manifest cannot form a single batch "
+                                    f"({m} utterances per speaker needed)")
+                saved = os.path.join(out_dir, f"checkpoint_epoch{epoch:03d}.ckpt")
+                save(saved)
+                if not quiet:
+                    print(f"epoch {epoch}: lr={lr:.3g} loss={last[0]:.4f} "
+                          f"(ce={last[1]:.4f} proto={last[2]:.4f})")
+    except NumericalError as exc:
+        kept = f"last good checkpoint: {saved}" if saved else "this run wrote no checkpoint"
+        raise NumericalError(f"training aborted: {exc}; {kept}") from None
     save(final_path)
     return final_path
 

@@ -132,10 +132,10 @@ class TestCriterion5StructuralConstants:
         ok = True
         details = []
         for c, r in ((32, 4), (64, 16), (256, 16)):
+            hidden = c // 8
             block = blocks.GcmBlock(c, kind="att_gcm", transform="fc", reduction=r,
-                                    rng=np.random.default_rng(1))
+                                    attention_hidden=hidden, rng=np.random.default_rng(1))
             actual = sum(p.size for _, p in block.named_parameters())
-            hidden = max(1, c // 8)
             formula = 2 * c * c // r + hidden * (c + 2) + 1
             ok &= actual == formula
             details.append(f"C={c},r={r}: {actual}")

@@ -56,7 +56,7 @@ class TestResidualBlock:
     def test_insertion_positions_same_shape(self, insertion):
         width = 4 if insertion == "before_conv" else 6  # before_conv sees the block input
         gcm = blocks.GcmBlock(width, kind="att_gcm", transform="fc", reduction=2,
-                              rng=np.random.default_rng(6))
+                              attention_hidden=1, rng=np.random.default_rng(6))
         block = backbone.ResidualBlock(4, 6, 2, gcm, insertion, np.random.default_rng(7))
         out = block(Tensor(np.random.default_rng(8).normal(size=(2, 4, 8, 9))), True)
         assert out.shape == (2, 6, 4, 5)
@@ -136,7 +136,7 @@ class TestEmbedder:
     def test_wrong_mel_bins_rejected(self):
         emb = toy_embedder()
         with pytest.raises(ShapeError):
-            emb.forward(Tensor(np.zeros((1, 1, 12, 20))))
+            emb.embed(Tensor(np.zeros((1, 1, 12, 20))))
 
     # ids name each kind by its context, as in test_blocks
     @pytest.mark.parametrize("kind,tfe", [
@@ -145,7 +145,7 @@ class TestEmbedder:
         pytest.param("att_gcm", True, id="attention-True"),
         pytest.param("dct_gcm", True, id="multi_dct-True")])
     def test_gcm_variants_preserve_shapes(self, kind, tfe):
-        factory = make_gcm_factory(kind=kind, transform="fc", reduction=2,
+        factory = make_gcm_factory(kind=kind, transform="fc", reduction=2, attention_hidden=1,
                                    dct_grid=(2, 3), dct_components=2, tfe=tfe, tfe_groups=2)
         emb = toy_embedder(make_gcm=factory, seed=2)
         plain = toy_embedder(seed=2)
@@ -154,14 +154,15 @@ class TestEmbedder:
 
     def test_eval_embed_records_no_tape(self):
         factory = make_gcm_factory(kind="att_gcm", transform="fc", reduction=2,
-                                   tfe=True, tfe_groups=2)
+                                   attention_hidden=1, tfe=True, tfe_groups=2)
         emb = toy_embedder(make_gcm=factory, seed=4)
         x = Tensor(np.random.default_rng(24).normal(size=(3, 1, 16, 20)))
         out = emb.embed(x, training=False)
         assert not out.requires_grad
-        # the same eval-mode forward, recorded
-        raw = emb.forward(x, training=False)
-        taped = T.div(raw, T.sqrt(T.reduce(T.mul(raw, raw), (1,), "sum", keepdims=True)))
+        # the same eval-mode segments, recorded
+        taped = x
+        for segment in emb.segments(training=False):
+            taped = segment(taped)
         assert taped.requires_grad
         assert out.data.tobytes() == taped.data.tobytes()
 
@@ -182,12 +183,12 @@ class TestTapeMemory:
     @pytest.fixture
     def model(self):
         factory = make_gcm_factory(kind="att_gcm", transform="fc", reduction=2,
-                                   tfe=True, tfe_groups=2)
+                                   attention_hidden=1, tfe=True, tfe_groups=2)
         emb = toy_embedder(make_gcm=factory, seed=8)
         head = losses.ClassifierHead(4, 8, np.random.default_rng(9))
         proto = losses.ProtoParams()
         opt = optim.AdamW(emb.named_parameters() + head.named_parameters()
-                          + proto.named_parameters())
+                          + proto.named_parameters(), lr=1e-3)
         x = Tensor(np.random.default_rng(25).normal(size=(8, 1, 16, 40)))
         return emb, head, proto, opt, x
 
@@ -248,7 +249,7 @@ class TestModuleTree:
                                                             "norm.beta"]
         assert [n for n, _ in layer.named_state()] == ["norm.running_mean", "norm.running_var"]
         before = {n: p.data.copy() for n, p in layer.named_parameters()}
-        opt = optim.AdamW(layer.named_parameters(), lr=1e-2, weight_decay=0.0)
+        opt = optim.AdamW(layer.named_parameters(), lr=1e-2)
         target = Tensor(rng.normal(size=(2, 3, 4, 5)))
         T.mul(layer(Tensor(rng.normal(size=(2, 2, 4, 5))), True), target).sum().backward()
         opt.step()
@@ -260,7 +261,7 @@ class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         emb = toy_embedder(seed=5)
         # make stats non-trivial
-        emb.forward(Tensor(np.random.default_rng(22).normal(size=(2, 1, 16, 20))), training=True)
+        emb.embed(Tensor(np.random.default_rng(22).normal(size=(2, 1, 16, 20))), training=True)
         path = str(tmp_path / "model.ckpt")
         entries = [(n, p.data) for n, p in emb.named_parameters()] + list(emb.named_state())
         config = {"seed": 5, "note": "toy"}

@@ -60,8 +60,8 @@ def reachable(root):
 
 def test_every_traced_layer_of_an_embedder_gets_a_scope(tracer_module):
     def make_gcm(channels):
-        return blocks.GcmBlock(channels, kind="att_gcm", reduction=2, tfe=True, tfe_groups=2,
-                               rng=np.random.default_rng(channels))
+        return blocks.GcmBlock(channels, kind="att_gcm", reduction=2, attention_hidden=1,
+                               tfe=True, tfe_groups=2, rng=np.random.default_rng(channels))
 
     tr = tracer_module.Tracer()
     with tr:

@@ -70,7 +70,7 @@ class TestAttentionContext:
         np.testing.assert_allclose(ctx(m).data, blocks.se_squeeze(m).data, atol=1e-10)
 
     def test_weights_sum_to_one(self):
-        ctx = blocks.AttentionContext(4, rng=np.random.default_rng(6))
+        ctx = blocks.AttentionContext(4, hidden=1, rng=np.random.default_rng(6))
         w = ctx.weights(Tensor(rng_map((3, 4, 5, 6), seed=3)))
         np.testing.assert_allclose(w.data.sum(axis=(1, 2)), 1.0, atol=1e-12)
 
@@ -83,7 +83,7 @@ class TestAttentionContext:
         np.testing.assert_allclose(got, want, atol=1e-10)
 
     def test_channel_mismatch(self):
-        ctx = blocks.AttentionContext(4)
+        ctx = blocks.AttentionContext(4, hidden=1)
         with pytest.raises(ShapeError):
             ctx(Tensor(np.zeros((2, 3, 4, 5))))
 
@@ -306,7 +306,8 @@ class TestGcmBlock:
 
     def test_attention_equals_gap_when_mlp_zeroed(self):
         rng_state = np.random.default_rng(19)
-        att = blocks.GcmBlock(4, kind="att_gcm", transform="fc", reduction=2, rng=rng_state)
+        att = blocks.GcmBlock(4, kind="att_gcm", transform="fc", reduction=2, attention_hidden=1,
+                              rng=rng_state)
         att.context.proj.data[:] = 0.0
         att.context.proj_bias.data[:] = 0.0
         gap = blocks.GcmBlock(4, kind="se", transform="fc", reduction=2)
@@ -333,12 +334,19 @@ class TestGcmBlock:
     @pytest.mark.parametrize("kind", CONTEXT_KINDS)
     @pytest.mark.parametrize("tfe", [False, True])
     def test_shape_preserved(self, kind, tfe):
-        block = blocks.GcmBlock(8, kind=kind, transform="fc", reduction=4,
+        block = blocks.GcmBlock(8, kind=kind, transform="fc", reduction=4, attention_hidden=1,
                                 dct_grid=(3, 4), dct_components=2, tfe=tfe,
                                 tfe_groups=4, rng=np.random.default_rng(21))
         for shape in [(1, 8, 3, 4), (2, 8, 5, 9), (1, 8, 2, 2)]:
             out = block(Tensor(rng_map(shape, seed=24)))
             assert out.shape == shape
+
+    @pytest.mark.parametrize("kind", ["att_gcm", "dct_gcm"])
+    def test_kind_without_its_width_or_grid_fails(self, kind):
+        """The caller gives the attention width and the DCT grid; the
+        block picks neither."""
+        with pytest.raises(TypeError):
+            blocks.GcmBlock(8, kind=kind, reduction=4)
 
     def test_rank3_map_rejected(self):
         block = blocks.GcmBlock(8, kind="se", transform="fc", reduction=4,
@@ -352,7 +360,8 @@ class TestGcmBlock:
         rng = np.random.default_rng(seed)
         scale, shift = rng.normal(), rng.normal()
         block = blocks.GcmBlock(4, kind="att_gcm", transform="fc", reduction=2,
-                                tfe=True, tfe_groups=2, tfe_scale_init=scale, rng=rng)
+                                attention_hidden=1, tfe=True, tfe_groups=2,
+                                tfe_scale_init=scale, rng=rng)
         block.tfe.shift.data[...] = shift
         x = rng.normal(size=(2, 4, f, t))
         out = block(Tensor(x))
@@ -363,7 +372,7 @@ class TestParameterCount:
     def test_attention_fc_closed_form(self):
         c, r, hidden = 32, 4, 32 // 8
         block = blocks.GcmBlock(c, kind="att_gcm", transform="fc", reduction=r,
-                                rng=np.random.default_rng(23))
+                                attention_hidden=hidden, rng=np.random.default_rng(23))
         assert sum(p.size for _, p in block.named_parameters()) == \
             2 * c * c // r + hidden * (c + 2) + 1
 
@@ -378,7 +387,7 @@ class TestBlockGradients:
         pytest.param("dct_gcm", "conv1d", True, id="multi_dct-conv1d-True"),
     ])
     def test_input_gradient(self, kind, transform, tfe):
-        block = blocks.GcmBlock(8, kind=kind, transform=transform, reduction=4,
+        block = blocks.GcmBlock(8, kind=kind, transform=transform, reduction=4, attention_hidden=1,
                                 dct_grid=(3, 4), dct_components=3, tfe=tfe, tfe_groups=4,
                                 tfe_scale_init=0.5, rng=np.random.default_rng(24))
         x = rng_map((1, 8, 3, 4), seed=25)
@@ -391,7 +400,7 @@ class TestBlockGradients:
 
     def test_all_parameter_gradients(self):
         block = blocks.GcmBlock(8, kind="att_gcm", transform="fc", reduction=4,
-                                tfe=True, tfe_groups=4, tfe_scale_init=0.3,
+                                attention_hidden=1, tfe=True, tfe_groups=4, tfe_scale_init=0.3,
                                 rng=np.random.default_rng(25))
         x = Tensor(rng_map((1, 8, 3, 4), seed=27))
         target = Tensor(rng_map((1, 8, 3, 4), seed=28))

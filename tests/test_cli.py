@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from tfctx import backbone, cli, config, dct, features, metrics, optim, train
 from tfctx import tensor as T
-from tfctx.errors import ConfigError, DataError
+from tfctx.errors import ConfigError, DataError, NumericalError
 
 from oracles import basis_weight, forge_checkpoint
 
@@ -100,7 +100,7 @@ class TestConfig:
         assert cfg.features.n_mels == 64
         assert cfg.model.block.dct_components == 2
         assert cfg.model.block.tfe_groups == 8
-        assert cfg.train.weight_decay == 5e-5
+        assert optim.AdamW.WEIGHT_DECAY == 5e-5
         assert cfg.train.utts_per_speaker_batch == 2
 
     @pytest.mark.parametrize("variant,kind,tfe", [
@@ -331,9 +331,11 @@ class TestTrainEval:
         assert code == cli.EXIT_DATA
         assert name in capsys.readouterr().err
 
-    @pytest.mark.parametrize("section,damage", [((), {"name": "x"}), ((), {"seed": "seven"}),
-                                                (("model", "block"), {"dct_grid": [4, 3]})],
-                             ids=["unknown_key", "seed_string", "dct_grid"])
+    # a checkpoint written while these were fields names them at their one value
+    @pytest.mark.parametrize("section,damage", [
+        ((), {"name": "x"}), ((), {"seed": "seven"}), (("model", "block"), {"dct_grid": [4, 3]}),
+        (("train",), {"lr_decay": 0.75, "lr_decay_every": 18, "weight_decay": 5e-5})],
+        ids=["unknown_key", "seed_string", "dct_grid", "removed_train_fields"])
     def test_checkpoint_config_is_data_error(self, trained, tmp_path, capsys, section, damage):
         _, doc = trained
         ckpt_doc, arrays = backbone.load_checkpoint(os.path.join(doc["out_dir"], "checkpoint.ckpt"))
@@ -349,6 +351,7 @@ class TestTrainEval:
         assert code == cli.EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("data error:") and broken in err and "Traceback" not in err
+        assert all(key in err for key in damage)
 
     @pytest.mark.parametrize("field,value", [("extent", 2**33), ("rank", 2**40),
                                              ("extent", 2**64 - 1)])
@@ -372,6 +375,42 @@ class TestTrainEval:
         code = cli.main(["score", "--trials", trials, "--scores", os.path.join(out, "scores.txt")])
         assert code == 0
         assert capsys.readouterr().out.strip() == eval_report
+
+
+class TestTrainAbort:
+    def test_abort_names_only_this_runs_checkpoints(self, tmp_path, capsys, monkeypatch):
+        """A rerun into a trained run's directory first removes that run's
+        checkpoints; when it aborts, it names the last checkpoint it wrote
+        itself, or says it wrote none."""
+        path, doc = micro_config(tmp_path, epochs=3)
+        out = doc["out_dir"]
+        assert cli.main(["synth-data", "--config", path]) == 0
+        assert cli.main(["train", "--config", path]) == 0
+        assert "checkpoint_epoch002.ckpt" in os.listdir(out)
+
+        step, steps = optim.AdamW.step, []
+
+        def fails_in_epoch_1(opt):  # two steps per epoch
+            steps.append(opt)
+            if len(steps) == 3:
+                raise NumericalError("planted")
+            step(opt)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(optim.AdamW, "step", fails_in_epoch_1)
+            capsys.readouterr()
+            assert cli.main(["train", "--config", path]) == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert f"last good checkpoint: {os.path.join(out, 'checkpoint_epoch000.ckpt')}" in err
+        assert sorted(os.listdir(out)) == ["checkpoint_epoch000.ckpt", "train.log"]
+
+        doc["train"].update(base_lr=1e300, warmup_epochs=0)
+        with open(path, "w") as f:
+            json.dump(doc, f)
+        assert cli.main(["train", "--config", path]) == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "this run wrote no checkpoint" in err and "checkpoint_epoch" not in err
+        assert os.listdir(out) == ["train.log"]
 
 
 @pytest.fixture(scope="module")
@@ -465,8 +504,8 @@ class TestShippedConfigs:
     @pytest.mark.parametrize("name", ["toy.json", "full_scale.json"])
     def test_parses_and_validates(self, name):
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        cfg = config.load(os.path.join(root, "configs", name))
-        assert cfg.train.weight_decay == 5e-5
+        config.load(os.path.join(root, "configs", name))
+        assert optim.AdamW.WEIGHT_DECAY == 5e-5
 
     def test_full_scale_settings(self):
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -503,7 +542,7 @@ class TestFullScaleConfig:
         cfg = config.from_dict(doc)
         assert cfg.model.embed_dim == 512
         assert cfg.model.block.reduction == 16
-        assert cfg.train.weight_decay == 5e-5  # published recipe value
+        assert optim.AdamW.WEIGHT_DECAY == 5e-5  # published recipe value
 
 
 class TestDeterminism:
@@ -620,13 +659,10 @@ BAD_CONFIGS = {
     "reduction_string": (("model", "block"), {"reduction": "4"}),
     "base_lr_0": (("train",), {"base_lr": 0.0}),
     "base_lr_negative": (("train",), {"base_lr": -1.0}),
-    "lr_decay_0": (("train",), {"lr_decay": 0.0}),
-    "lr_decay_above_1": (("train",), {"lr_decay": 1.5}),
-    "lr_decay_every_0": (("train",), {"lr_decay_every": 0}),
     "warmup_epochs_negative": (("train",), {"warmup_epochs": -1}),
-    "weight_decay_negative": (("train",), {"weight_decay": -1e-4}),
     "speakers_per_batch_1": (("train",), {"speakers_per_batch": 1}),
-    "lr_rounds_to_0": (("train",), {"epochs": 40, "lr_decay": 1e-200}),
+    # the smallest subnormal rate, decayed three times by epoch 55, rounds to 0
+    "lr_rounds_to_0": (("train",), {"epochs": 56, "base_lr": 5e-324}),
     "lr_overflows": (("train",), {"epochs": 3, "warmup_epochs": 3, "base_lr": 1e308}),
 }
 

@@ -178,24 +178,26 @@ def adamw_on(*values, **hyper):
 
 class TestAdamW:
     def test_zero_gradient_pure_decay(self):
-        (p, q), opt = adamw_on([2.0, -3.0], [2.0, -3.0], lr=0.1, weight_decay=0.01)
+        (p, q), opt = adamw_on([2.0, -3.0], [2.0, -3.0], lr=0.1)
         p.grad = np.zeros(2)  # q has no gradient at all, which counts as zero
         opt.step()
-        np.testing.assert_allclose(p.data, np.array([2.0, -3.0]) * (1 - 0.1 * 0.01), atol=0)
+        np.testing.assert_allclose(p.data, np.array([2.0, -3.0]) * (1 - 0.1 * optim.AdamW.WEIGHT_DECAY),
+                                   atol=0)
         np.testing.assert_array_equal(q.data, p.data)
 
     def test_descends_convex_quadratic(self):
-        (x,), opt = adamw_on([1.0], lr=0.05, weight_decay=0.0)
+        (x,), opt = adamw_on([1.0], lr=0.05)
         x.grad = 2 * x.data.copy()
         opt.step()
         assert x.data[0] ** 2 < 1.0
 
     def test_ten_steps_match_reference_trace(self):
         rng = np.random.default_rng(17)
-        lr, wd = 1e-2, 5e-5
-        b1, b2, eps = optim.AdamW.BETA1, optim.AdamW.BETA2, optim.AdamW.EPS
-        assert (b1, b2, eps) == (0.9, 0.999, 1e-8)
-        (p,), opt = adamw_on(rng.normal(size=(4,)), lr=lr, weight_decay=wd)
+        lr = 1e-2
+        b1, b2, eps, wd = (optim.AdamW.BETA1, optim.AdamW.BETA2, optim.AdamW.EPS,
+                           optim.AdamW.WEIGHT_DECAY)
+        assert (b1, b2, eps, wd) == (0.9, 0.999, 1e-8, 5e-5)
+        (p,), opt = adamw_on(rng.normal(size=(4,)), lr=lr)
         ref = p.data.copy()
         grads = [rng.normal(size=(4,)) for _ in range(10)]
 
@@ -220,7 +222,8 @@ class TestAdamW:
         assert not opt.m[0].any() and not opt.v[0].any()
 
 
-# the full-scale schedule: base 1e-3, 5 warm-up epochs, 0.75 every 18 epochs
+# the full-scale train section (base 1e-3, 5 warm-up epochs) under the decay
+# of 0.75 every 18 epochs
 FULL_SCALE = config.load(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                       "configs", "full_scale.json")).train
 

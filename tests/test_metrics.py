@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tfctx import metrics
+from tfctx import cli, metrics
 from tfctx.errors import DataError
 from tfctx.metrics import TrialSet
 
@@ -221,6 +221,22 @@ class TestFileFormats:
         trials = make_trials([1, 0])
         with pytest.raises(DataError):
             metrics.match_scores(trials, [("u0", "u0", 0.5)])
+
+    def test_conflicting_scores_for_one_trial(self, tmp_path, capsys):
+        """A repeated trial repeats its line with the same score, which still
+        scores; two different scores for one trial are a data error (exit 2)
+        that names it."""
+        trials = make_trials([1, 0])
+        repeated = [("u0", "u0", 0.9), ("u1", "u1", 0.1), ("u0", "u0", 0.9)]
+        np.testing.assert_array_equal(metrics.match_scores(trials, repeated), [0.9, 0.1])
+        trial_path, score_path = str(tmp_path / "trials.txt"), str(tmp_path / "scores.txt")
+        with open(trial_path, "w") as f:
+            f.write("1 a b\n0 a c\n")
+        with open(score_path, "w") as f:
+            f.write("a b 0.9\na c 0.1\na b 0.0\n")
+        assert cli.main(["score", "--trials", trial_path, "--scores", score_path]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: two different scores for trial (a, b)")
 
     def test_bad_trial_line(self, tmp_path):
         path = str(tmp_path / "bad.txt")

@@ -156,9 +156,10 @@ class TestBatchNorm:
     def test_running_stats_and_inference(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(8, 2, 3, 4))
-        running = T.RunningStats(2, momentum=1.0)
+        running = T.RunningStats(2)
         T.batch_norm2d(T.Tensor(x), T.Tensor(np.ones(2)), T.Tensor(np.zeros(2)), running=running)
-        np.testing.assert_allclose(running.mean, x.mean(axis=(0, 2, 3)))
+        # one update from the initial zeros
+        np.testing.assert_allclose(running.mean, T.RunningStats.MOMENTUM * x.mean(axis=(0, 2, 3)))
         y = T.batch_norm2d(T.Tensor(x), T.Tensor(np.ones(2)), T.Tensor(np.zeros(2)),
                            training=False, running=running)
         want = (x - running.mean[None, :, None, None]) / np.sqrt(running.var[None, :, None, None] + 1e-5)
@@ -222,22 +223,24 @@ class TestBatchNorm:
     def test_running_var_is_biased_batch_variance(self):
         rng = np.random.default_rng(11)
         x = rng.normal(loc=-2.0, scale=3.0, size=(5, 3, 4, 6))
-        running = T.RunningStats(3, momentum=1.0)
+        running = T.RunningStats(3)
         T.batch_norm2d(T.Tensor(x), T.Tensor(np.ones(3)), T.Tensor(np.zeros(3)), running=running)
-        np.testing.assert_allclose(running.var, x.var(axis=(0, 2, 3)), rtol=0, atol=1e-12)
+        m = T.RunningStats.MOMENTUM  # one update from the initial ones
+        np.testing.assert_allclose(running.var, (1 - m) + m * x.var(axis=(0, 2, 3)), rtol=0, atol=1e-12)
 
     def test_running_stats_frozen_under_no_grad(self):
         rng = np.random.default_rng(13)
         x = T.Tensor(rng.normal(loc=1.5, size=(4, 2, 3, 5)))
         gamma, beta = T.Tensor(np.ones(2)), T.Tensor(np.zeros(2))
-        running = T.RunningStats(2, momentum=1.0)
+        running = T.RunningStats(2)
         with T.no_grad():
             T.batch_norm2d(x, gamma, beta, training=True, running=running)
         np.testing.assert_array_equal(running.mean, np.zeros(2))
         np.testing.assert_array_equal(running.var, np.ones(2))
         T.batch_norm2d(x, gamma, beta, training=True, running=running)
-        np.testing.assert_allclose(running.mean, x.data.mean(axis=(0, 2, 3)))
-        np.testing.assert_allclose(running.var, x.data.var(axis=(0, 2, 3)))
+        m = T.RunningStats.MOMENTUM
+        np.testing.assert_allclose(running.mean, m * x.data.mean(axis=(0, 2, 3)))
+        np.testing.assert_allclose(running.var, (1 - m) + m * x.data.var(axis=(0, 2, 3)))
 
     @pytest.mark.parametrize("training", [True, False])
     def test_non_contiguous_input_matches_contiguous_copy(self, training):

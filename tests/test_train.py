@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from tfctx import backbone, blocks, config, features, losses, train
-from tfctx import tensor as T
 from tfctx.tensor import Tensor
 
 
@@ -209,8 +208,7 @@ class TestDctGridFromNetwork:
         monkeypatch.setattr(blocks.GcmBlock, "__call__",
                             lambda block, m: seen.append(m.shape[2:]) or call(block, m))
         x = np.random.default_rng(1).normal(size=(1, 1, cfg.features.n_mels, cfg.features.chunk))
-        with T.no_grad():
-            embedder.forward(Tensor(x))
+        embedder.embed(Tensor(x))
         assert seen[-1] == grid
 
 
