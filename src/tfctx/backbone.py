@@ -24,7 +24,7 @@ import numpy as np
 from . import blocks
 from . import tensor as T
 from .errors import DataError, NumericalError, ShapeError
-from .tensor import Module, RunningStats, Segment, Tensor
+from .tensor import Module, Segment, Tensor
 
 INSERTION_POSITIONS = ("after_bn", "before_bn", "before_conv")
 # the stages whose residual blocks get a context block
@@ -36,8 +36,7 @@ class Conv2dLayer(Module):
     shift."""
 
     def __init__(self, cin: int, cout: int, kernel: int = 3, stride=(1, 1),
-                 padding=(1, 1), rng: np.random.Generator | None = None):
-        rng = rng if rng is not None else np.random.default_rng(0)
+                 padding=(1, 1), *, rng: np.random.Generator):
         fan_in = cin * kernel * kernel
         self.stride = tuple(stride)
         self.padding = tuple(padding)
@@ -54,10 +53,12 @@ class BatchNormLayer(Module):
     def __init__(self, channels: int):
         self.gamma = Tensor(np.ones(channels), requires_grad=True)
         self.beta = Tensor(np.zeros(channels), requires_grad=True)
-        self.running = RunningStats(channels)
+        self.running_mean = np.zeros(channels)
+        self.running_var = np.ones(channels)
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
-        return T.batch_norm2d(x, self.gamma, self.beta, self.EPS, training, self.running)
+        return T.batch_norm2d(x, self.gamma, self.beta, self.EPS, training,
+                              self.running_mean, self.running_var)
 
 
 class ResidualBlock(Module):
@@ -67,8 +68,7 @@ class ResidualBlock(Module):
 
     def __init__(self, cin: int, cout: int, stride: int = 1,
                  gcm: blocks.GcmBlock | None = None, insertion: str = "after_bn",
-                 rng: np.random.Generator | None = None):
-        rng = rng if rng is not None else np.random.default_rng(0)
+                 *, rng: np.random.Generator):
         if insertion not in INSERTION_POSITIONS:
             raise ValueError(f"unknown insertion position {insertion!r}")
         self.conv1 = Conv2dLayer(cin, cout, 3, (stride, stride), (1, 1), rng=rng)
@@ -145,8 +145,7 @@ class Embedder(Module):
                  stem_stride, embed_dim: int, asp_hidden: int,
                  make_gcm: Callable[[int], blocks.GcmBlock | None] | None = None,
                  insertion: str = "after_bn", gcm_stages: str = "all",
-                 rng: np.random.Generator | None = None):
-        rng = rng if rng is not None else np.random.default_rng(0)
+                 *, rng: np.random.Generator):
         if embed_dim < 2:
             raise ValueError("embedding dimension must be at least 2")
         if not (len(stage_channels) == len(blocks_per_stage) == len(stage_strides)):
@@ -169,7 +168,7 @@ class Embedder(Module):
                 # a block placed before the first conv recalibrates the input
                 gcm_width = cin if insertion == "before_conv" else cout
                 gcm = make_gcm(gcm_width) if wants_gcm else None
-                stage.append(ResidualBlock(cin, cout, s, gcm, insertion, rng))
+                stage.append(ResidualBlock(cin, cout, s, gcm, insertion, rng=rng))
                 cin = cout
             self.stages.append(stage)
         self.frame_dim = stage_channels[-1] * final_extent(mel_bins, stem_stride[0], stage_strides,

@@ -47,8 +47,7 @@ class AttentionContext(Module):
     (N, D, 1, T) frames.
     """
 
-    def __init__(self, channels: int, hidden: int, rng: np.random.Generator | None = None):
-        rng = rng if rng is not None else np.random.default_rng(0)
+    def __init__(self, channels: int, hidden: int, rng: np.random.Generator):
         self.channels = channels
         self.hidden = hidden
         self.proj = Tensor(rng.normal(0.0, 1.0 / math.sqrt(channels), (self.hidden, channels)),
@@ -119,9 +118,8 @@ class FcChannelTransform(Module):
     range; the factor itself stays learnable.
     """
 
-    def __init__(self, channels: int, reduction: int, rng: np.random.Generator | None = None,
+    def __init__(self, channels: int, reduction: int, rng: np.random.Generator,
                  input_scale: float = 1.0):
-        rng = rng if rng is not None else np.random.default_rng(0)
         width = channels // reduction
         if width < 1:
             raise ShapeError(f"reduction {reduction} leaves no bottleneck width for C={channels}")
@@ -141,9 +139,8 @@ class Conv1dChannelTransform(Module):
     as one ``conv2d`` of the (N, 1, 1, C) view of the context with a
     (1, 1, 1, k) kernel, so tap j weighs channel c + j - k // 2."""
 
-    def __init__(self, channels: int, rng: np.random.Generator | None = None,
+    def __init__(self, channels: int, rng: np.random.Generator,
                  input_scale: float = 1.0):
-        rng = rng if rng is not None else np.random.default_rng(0)
         k = eca_kernel_size(channels)
         self.kernel = Tensor(rng.normal(0.0, 1.0 / (math.sqrt(k) * input_scale), (k,)),
                              requires_grad=True)
@@ -176,8 +173,7 @@ class TfeParams(Module):
     """
 
     def __init__(self, channels: int, n_groups: int = 8, scale_init: float = 0.0,
-                 rng: np.random.Generator | None = None):
-        rng = rng if rng is not None else np.random.default_rng(0)
+                 *, rng: np.random.Generator):
         if channels % n_groups != 0:
             raise ShapeError(f"{n_groups} groups do not divide {channels} channels")
         self.channels = channels
@@ -255,8 +251,7 @@ class GcmBlock(Module):
                  reduction: int = 16, attention_hidden: int | None = None,
                  dct_components: int = 2, dct_grid: tuple[int, int] | None = None,
                  tfe: bool = False, tfe_groups: int = 8, tfe_scale_init: float = 0.0,
-                 rng: np.random.Generator | None = None):
-        rng = rng if rng is not None else np.random.default_rng(0)
+                 *, rng: np.random.Generator):
         if kind not in self.CONTEXT_KINDS:
             raise ValueError(f"unknown context kind {kind!r}")
         if transform not in self.TRANSFORMS:
@@ -274,7 +269,7 @@ class GcmBlock(Module):
             self.transform = FcChannelTransform(channels, reduction, rng, input_scale)
         else:
             self.transform = Conv1dChannelTransform(channels, rng, input_scale)
-        self.tfe = TfeParams(channels, tfe_groups, tfe_scale_init, rng) if tfe else None
+        self.tfe = TfeParams(channels, tfe_groups, tfe_scale_init, rng=rng) if tfe else None
 
     def __call__(self, feature_map: Tensor) -> Tensor:
         if feature_map.ndim != 4:

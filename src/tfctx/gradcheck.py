@@ -3,10 +3,10 @@ miniature end-to-end network.
 
 Shapes are kept tiny so central differences over every parameter stay
 cheap. The only kinks are the ``clamp_min`` floor and the ``max``
-reduction, and the step ``h`` is finite: an input within ``h`` of a kink
-makes the numeric side wrong on a correct engine (``full_network`` at seed
-34). The default seed, 1234, is checked to pass; redrawing inputs clear of
-every kink is ROADMAP open item 3.
+reduction, and the step ``tensor.FD_STEP`` is finite: an input within
+that step of a kink makes the numeric side wrong on a correct engine
+(``full_network`` at seed 34). The default seed, 1234, is checked to pass;
+redrawing inputs clear of every kink is ROADMAP open item 3.
 
 The full-network check is staged: the micro network's loss is the chain
 ``Embedder.embed`` runs (``Embedder.segments``) plus a loss tail, and a

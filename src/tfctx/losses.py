@@ -41,6 +41,7 @@ class ClassifierHead(Module):
     PREFIX = "head"
 
     def __init__(self, num_speakers: int, embed_dim: int, rng: np.random.Generator | None = None):
+        # tfbench's train_dct_tfe gradient check builds the head without a generator
         rng = rng if rng is not None else np.random.default_rng(0)
         self.num_speakers = num_speakers
         self.weight = Tensor(rng.normal(0.0, 1.0 / math.sqrt(embed_dim), (num_speakers, embed_dim)),

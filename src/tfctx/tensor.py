@@ -33,12 +33,17 @@ that one on, starting from a cached segment input that was computed under
 segment's parameters, and no op mutates its input's ``data``, so a cached
 input stays what a full re-run would compute.
 
-Every contraction, ``einsum2`` and its two VJPs as well as the three
-inside ``conv2d``, takes one route: ``_contract``, a batched matmul over a
-permutation plan cached per spec. Its values equal ``np.einsum``'s to
-rounding (the sign of a zero may differ), without the path search that a
-path-optimizing einsum runs on every call, which dominated the cost of the
-small ops the finite-difference checks run by the hundred thousand.
+Every contraction but one, ``einsum2`` and its two VJPs as well as the
+three inside ``conv2d``, takes one route: ``_contract``, a batched matmul
+over a permutation plan cached per spec. Its values equal ``np.einsum``'s
+to rounding, without the path search that a path-optimizing einsum runs
+on every call, which dominated the cost of the small ops the
+finite-difference checks run by the hundred thousand. The exception is
+``linear`` (``x @ w.T``). Through ``_contract`` its forward pass and its
+weight gradient kept their bits, but its input gradient changed bits in
+50 of the 475 ``linear`` VJPs of a one-epoch DCT-GCM+TFE toy training
+(none of the 17,928 calls of a gradient-suite pass), so trained
+checkpoints would change.
 
 Stored values are required to be finite. A NaN or Inf anywhere raises
 ``NumericalError`` at the first op that produced it instead of propagating
@@ -541,36 +546,22 @@ def _contraction_plan(spec: str):
     keep_l = [i for i in left if i not in right]
     keep_r = [i for i in right if i not in left]
     produced = batch + keep_l + keep_r
-    # a product with nothing summed: each operand in output order, its
-    # summed axes (all of extent 1) last and dropped by the reshape
-    outer_l = [i for i in out if i in left] + summed
-    outer_r = [i for i in out if i in right] + summed
     return (tuple(map(left.index, batch + keep_l + summed)),
             tuple(map(right.index, batch + summed + keep_r)),
             len(batch), len(keep_l), len(summed),
-            tuple(map(produced.index, out)),
-            tuple(map(left.index, outer_l)), tuple(map(right.index, outer_r)),
-            tuple(outer_l.index(i) if i in left else -1 for i in out),
-            tuple(outer_r.index(i) if i in right else -1 for i in out))
+            tuple(map(produced.index, out)))
 
 
 def _contract(spec: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Two-operand ``np.einsum(spec, a, b)`` (no repeated indices), equal to
     it to rounding, without a per-call path search: transpose both operands
     to (batch, kept, summed), fuse each group, one ``(B, M, K) @ (B, K, N)``
-    matmul, then unfuse and transpose to the output. When every summed
-    extent is 1 it is the broadcast product instead, which may keep a -0.0
-    that einsum turns into 0.0."""
-    (perm_l, perm_r, nb, nk, ns, perm_out,
-     outer_l, outer_r, spread_l, spread_r) = _contraction_plan(spec)
+    matmul, then unfuse and transpose to the output. A product with nothing
+    summed is the K = 1 case of the same matmul."""
+    perm_l, perm_r, nb, nk, ns, perm_out = _contraction_plan(spec)
     left, right = b.transpose(perm_l), a.transpose(perm_r)
     kept_l = left.shape[:nb + nk]
     summed = math.prod(left.shape[nb + nk:])
-    if summed == 1:
-        left, right = b.transpose(outer_l), a.transpose(outer_r)
-        left = left.reshape([left.shape[j] if j >= 0 else 1 for j in spread_l])
-        right = right.reshape([right.shape[j] if j >= 0 else 1 for j in spread_r])
-        return left * right
     kept_r = right.shape[nb + ns:]
     batch = math.prod(kept_l[:nb])
     y = np.matmul(left.reshape(batch, math.prod(kept_l[nb:]), summed),
@@ -666,26 +657,11 @@ def conv2d(x: Tensor, weight: Tensor, stride: tuple[int, int], padding: tuple[in
     return Tensor._from_op(out, (x, weight), vjp)
 
 
-class RunningStats:
-    """Per-channel running mean/variance for batch norm inference."""
-
-    MOMENTUM = 0.1
-
-    def __init__(self, channels: int):
-        self.mean = np.zeros(channels)
-        self.var = np.ones(channels)
-
-    def update(self, mean: np.ndarray, var: np.ndarray) -> None:
-        m = self.MOMENTUM
-        self.mean = (1.0 - m) * self.mean + m * mean
-        self.var = (1.0 - m) * self.var + m * var
-
-
 class Module:
     """A layer whose parameters and batch-norm state are found by walking
     its attributes in the order they were assigned: a ``Tensor`` is a
-    parameter, a ``RunningStats`` attribute ``running`` is the state pair
-    ``running_mean`` / ``running_var``, and a ``Module`` is a child whose
+    parameter, an ``ndarray`` is state (``BatchNormLayer``'s
+    ``running_mean`` and ``running_var``), and a ``Module`` is a child whose
     entries are prefixed by its attribute name. The names and their order
     are a checkpoint's layout. Other attributes, containers included, are
     not walked; a layer that keeps children in a container lists them by
@@ -708,11 +684,7 @@ class Module:
         return [(path, v) for path, v in self._walk(self.PREFIX) if isinstance(v, Tensor)]
 
     def named_state(self) -> list[tuple[str, np.ndarray]]:
-        out = []
-        for path, v in self._walk(self.PREFIX):
-            if isinstance(v, RunningStats):
-                out += [(f"{path}_mean", v.mean), (f"{path}_var", v.var)]
-        return out
+        return [(path, v) for path, v in self._walk(self.PREFIX) if isinstance(v, np.ndarray)]
 
 
 class Segment(Module):
@@ -731,13 +703,19 @@ class Segment(Module):
         return self._fn(x)
 
 
+# weight of the newest batch in batch norm's running mean and variance
+BN_MOMENTUM = 0.1
+
+
 def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5,
-                 training: bool = True, running: RunningStats | None = None) -> Tensor:
+                 training: bool = True, running_mean: np.ndarray | None = None,
+                 running_var: np.ndarray | None = None) -> Tensor:
     """Per-channel normalization of an (N, C, F, T) tensor.
 
-    Training mode normalizes with the batch statistics over (N, F, T) and
-    updates ``running`` while the tape records (not under ``no_grad()``);
-    inference mode normalizes with the running stats.
+    Training mode normalizes with the batch statistics over (N, F, T) and,
+    while the tape records (not under ``no_grad()``), moves the running
+    arrays, when given, toward them in place by ``BN_MOMENTUM``; inference
+    mode normalizes with the running arrays, which it requires.
     """
     if eps <= 0:
         raise ValueError("batch_norm2d eps must be positive")
@@ -755,15 +733,19 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5,
         shift = np.einsum("ncp->c", flat) / count
         xhat = flat - shift[:, None]
         var = np.einsum("ncp,ncp->c", xhat, xhat) / count
-        if running is not None and _recording:
-            running.update(shift, var)
+        if _recording:
+            # (1 - m) * old + m * stat, with its bits
+            for running, stat in ((running_mean, shift), (running_var, var)):
+                if running is not None:
+                    running *= 1.0 - BN_MOMENTUM
+                    running += BN_MOMENTUM * stat
     else:
-        if running is None:
+        if running_mean is None or running_var is None:
             raise ValueError("inference-mode batch_norm2d needs running stats")
-        # a copy: loading a checkpoint writes the running stats in place
-        shift = running.mean.copy()
+        # a copy: training and checkpoint loading write the running arrays in place
+        shift = running_mean.copy()
         xhat = flat - shift[:, None]
-        var = running.var
+        var = running_var
 
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv[:, None]
@@ -799,19 +781,22 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5,
 
 # -- gradient oracle ----------------------------------------------------------
 
-def finite_diff_check(fn: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -> float:
+# the central-difference step of both checkers
+FD_STEP = 1e-5
+
+
+def finite_diff_check(fn: Callable[[Tensor], Tensor], x: Tensor) -> float:
     """Compare reverse-mode gradients of ``fn`` against central differences.
 
     Returns max over elements of |analytic - numeric| / max(1, |analytic|,
     |numeric|); ``fn`` must map a tensor to a scalar tensor.
     """
     probe = Tensor(x.data.copy(), requires_grad=True)
-    return _central_differences(lambda: fn(probe), [("x", probe)], h)["x"]
+    return _central_differences(lambda: fn(probe), [("x", probe)])["x"]
 
 
 def finite_diff_check_params(loss_fn: Callable[..., Tensor],
-                             named_params: Iterable[tuple],
-                             h: float = 1e-5) -> dict[str, float]:
+                             named_params: Iterable[tuple]) -> dict[str, float]:
     """Check recorded gradients of named parameters against central
     differences.
 
@@ -825,12 +810,10 @@ def finite_diff_check_params(loss_fn: Callable[..., Tensor],
     the same loop. ``loss_fn`` is called exactly once per evaluation.
     Returns the max relative error per parameter name.
     """
-    return _central_differences(loss_fn, named_params, h)
+    return _central_differences(loss_fn, named_params)
 
 
-def _central_differences(loss_fn, named_params, h: float) -> dict[str, float]:
-    if h <= 0:
-        raise ValueError("finite-difference step must be positive")
+def _central_differences(loss_fn, named_params) -> dict[str, float]:
     # a pair's empty tag calls loss_fn with no argument
     params = [(name, p, tuple(segment)) for name, p, *segment in named_params]
     for _, p, _ in params:
@@ -848,12 +831,12 @@ def _central_differences(loss_fn, named_params, h: float) -> dict[str, float]:
             numeric = np.empty(flat.size)
             for i in range(flat.size):
                 orig = flat[i]
-                flat[i] = orig + h
+                flat[i] = orig + FD_STEP
                 up = loss_fn(*segment).item()
-                flat[i] = orig - h
+                flat[i] = orig - FD_STEP
                 down = loss_fn(*segment).item()
                 flat[i] = orig
-                numeric[i] = (up - down) / (2.0 * h)
+                numeric[i] = (up - down) / (2.0 * FD_STEP)
             a = analytic[name].reshape(-1)
             denom = np.maximum(1.0, np.maximum(np.abs(a), np.abs(numeric)))
             errors[name] = float(np.max(np.abs(a - numeric) / denom)) if flat.size else 0.0

@@ -42,7 +42,7 @@ class TestResidualBlock:
         gcm = blocks.GcmBlock(3, kind="se", transform="fc", reduction=1, rng=rng)
         gcm.transform.w_in.data[:] = 0.0
         gcm.transform.w_out.data[:] = 0.0
-        with_gcm = backbone.ResidualBlock(3, 3, 1, gcm, "after_bn", np.random.default_rng(4))
+        with_gcm = backbone.ResidualBlock(3, 3, 1, gcm, "after_bn", rng=np.random.default_rng(4))
         without = backbone.ResidualBlock(3, 3, 1, rng=np.random.default_rng(4))
         x = np.random.default_rng(5).normal(size=(2, 3, 4, 5))
 
@@ -57,14 +57,14 @@ class TestResidualBlock:
         width = 4 if insertion == "before_conv" else 6  # before_conv sees the block input
         gcm = blocks.GcmBlock(width, kind="att_gcm", transform="fc", reduction=2,
                               attention_hidden=1, rng=np.random.default_rng(6))
-        block = backbone.ResidualBlock(4, 6, 2, gcm, insertion, np.random.default_rng(7))
+        block = backbone.ResidualBlock(4, 6, 2, gcm, insertion, rng=np.random.default_rng(7))
         out = block(Tensor(np.random.default_rng(8).normal(size=(2, 4, 8, 9))), True)
         assert out.shape == (2, 6, 4, 5)
 
     def test_unknown_insertion_rejected(self):
         gcm = blocks.GcmBlock(4, reduction=2, rng=np.random.default_rng(9))
         with pytest.raises(ValueError, match="insertion"):
-            backbone.ResidualBlock(4, 4, 1, gcm, "none")
+            backbone.ResidualBlock(4, 4, 1, gcm, "none", rng=np.random.default_rng(0))
 
 
 class TestAspPool:

@@ -83,7 +83,7 @@ class TestAttentionContext:
         np.testing.assert_allclose(got, want, atol=1e-10)
 
     def test_channel_mismatch(self):
-        ctx = blocks.AttentionContext(4, hidden=1)
+        ctx = blocks.AttentionContext(4, hidden=1, rng=np.random.default_rng(0))
         with pytest.raises(ShapeError):
             ctx(Tensor(np.zeros((2, 3, 4, 5))))
 
@@ -155,7 +155,7 @@ class TestChannelExcite:
 
     def test_reduction_too_large(self):
         with pytest.raises(ShapeError):
-            blocks.FcChannelTransform(8, reduction=16)
+            blocks.FcChannelTransform(8, reduction=16, rng=np.random.default_rng(0))
 
 
 class TestChannelScale:
@@ -291,7 +291,7 @@ class TestTfeEnhance:
 
     def test_group_divisibility(self):
         with pytest.raises(ShapeError):
-            blocks.TfeParams(10, n_groups=4)
+            blocks.TfeParams(10, n_groups=4, rng=np.random.default_rng(0))
 
 
 class TestGcmBlock:
@@ -310,7 +310,7 @@ class TestGcmBlock:
                               rng=rng_state)
         att.context.proj.data[:] = 0.0
         att.context.proj_bias.data[:] = 0.0
-        gap = blocks.GcmBlock(4, kind="se", transform="fc", reduction=2)
+        gap = blocks.GcmBlock(4, kind="se", transform="fc", reduction=2, rng=np.random.default_rng(0))
         gap.transform.w_in.data[:] = att.transform.w_in.data
         gap.transform.w_out.data[:] = att.transform.w_out.data
         x = Tensor(rng_map((2, 4, 5, 6), seed=22))
@@ -346,7 +346,7 @@ class TestGcmBlock:
         """The caller gives the attention width and the DCT grid; the
         block picks neither."""
         with pytest.raises(TypeError):
-            blocks.GcmBlock(8, kind=kind, reduction=4)
+            blocks.GcmBlock(8, kind=kind, reduction=4, rng=np.random.default_rng(0))
 
     def test_rank3_map_rejected(self):
         block = blocks.GcmBlock(8, kind="se", transform="fc", reduction=4,

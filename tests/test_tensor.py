@@ -156,14 +156,39 @@ class TestBatchNorm:
     def test_running_stats_and_inference(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(8, 2, 3, 4))
-        running = T.RunningStats(2)
-        T.batch_norm2d(T.Tensor(x), T.Tensor(np.ones(2)), T.Tensor(np.zeros(2)), running=running)
+        mean, var = np.zeros(2), np.ones(2)
+        T.batch_norm2d(T.Tensor(x), T.Tensor(np.ones(2)), T.Tensor(np.zeros(2)),
+                       running_mean=mean, running_var=var)
         # one update from the initial zeros
-        np.testing.assert_allclose(running.mean, T.RunningStats.MOMENTUM * x.mean(axis=(0, 2, 3)))
+        np.testing.assert_allclose(mean, T.BN_MOMENTUM * x.mean(axis=(0, 2, 3)))
         y = T.batch_norm2d(T.Tensor(x), T.Tensor(np.ones(2)), T.Tensor(np.zeros(2)),
-                           training=False, running=running)
-        want = (x - running.mean[None, :, None, None]) / np.sqrt(running.var[None, :, None, None] + 1e-5)
+                           training=False, running_mean=mean, running_var=var)
+        want = (x - mean[None, :, None, None]) / np.sqrt(var[None, :, None, None] + 1e-5)
         np.testing.assert_allclose(y.data, want)
+
+    @pytest.mark.parametrize("given", ["neither", "mean", "var"])
+    def test_inference_needs_both_running_arrays(self, given):
+        arrays = {"mean": dict(running_mean=np.zeros(2)), "var": dict(running_var=np.ones(2))}
+        with pytest.raises(ValueError, match="running stats"):
+            T.batch_norm2d(T.Tensor(np.ones((1, 2, 2, 2))), T.Tensor(np.ones(2)), T.Tensor(np.zeros(2)),
+                           training=False, **arrays.get(given, {}))
+
+    def test_running_update_in_place_keeps_the_formula_bits(self):
+        rng = np.random.default_rng(7)
+        x = rng.normal(loc=0.5, scale=2.0, size=(4, 3, 5, 6))
+        old_mean, old_var = rng.normal(size=3), rng.uniform(0.5, 2.0, size=3)
+        mean, var = old_mean.copy(), old_var.copy()
+        T.batch_norm2d(T.Tensor(x), T.Tensor(np.ones(3)), T.Tensor(np.zeros(3)),
+                       running_mean=mean, running_var=var)
+        # the batch statistics with batch_norm2d's arithmetic, blended by the
+        # out-of-place formula: the in-place update must keep its bits
+        flat = x.reshape(4, 3, 30)
+        shift = np.einsum("ncp->c", flat) / 120
+        centred = flat - shift[:, None]
+        batch_var = np.einsum("ncp,ncp->c", centred, centred) / 120
+        m = T.BN_MOMENTUM
+        np.testing.assert_array_equal(mean, (1.0 - m) * old_mean + m * shift)
+        np.testing.assert_array_equal(var, (1.0 - m) * old_var + m * batch_var)
 
     def test_gamma_mismatch_raises(self):
         with pytest.raises(ShapeError):
@@ -207,12 +232,11 @@ class TestBatchNorm:
         gamma = rng.normal(size=2)
         beta = rng.normal(size=2)
         target = rng.normal(size=(3, 2, 4, 3))
-        running = T.RunningStats(2)
-        running.mean = rng.normal(size=2)
-        running.var = rng.uniform(0.5, 2.0, size=2)
+        mean = rng.normal(size=2)
+        var = rng.uniform(0.5, 2.0, size=2)
 
         def loss(xt, gt, bt):
-            y = T.batch_norm2d(xt, gt, bt, training=False, running=running)
+            y = T.batch_norm2d(xt, gt, bt, training=False, running_mean=mean, running_var=var)
             d = T.add(y, T.mul(T.Tensor(target), -1.0))
             return T.reduce(T.mul(d, d), None, "sum")
 
@@ -223,24 +247,24 @@ class TestBatchNorm:
     def test_running_var_is_biased_batch_variance(self):
         rng = np.random.default_rng(11)
         x = rng.normal(loc=-2.0, scale=3.0, size=(5, 3, 4, 6))
-        running = T.RunningStats(3)
-        T.batch_norm2d(T.Tensor(x), T.Tensor(np.ones(3)), T.Tensor(np.zeros(3)), running=running)
-        m = T.RunningStats.MOMENTUM  # one update from the initial ones
-        np.testing.assert_allclose(running.var, (1 - m) + m * x.var(axis=(0, 2, 3)), rtol=0, atol=1e-12)
+        var = np.ones(3)
+        T.batch_norm2d(T.Tensor(x), T.Tensor(np.ones(3)), T.Tensor(np.zeros(3)), running_var=var)
+        m = T.BN_MOMENTUM  # one update from the initial ones
+        np.testing.assert_allclose(var, (1 - m) + m * x.var(axis=(0, 2, 3)), rtol=0, atol=1e-12)
 
     def test_running_stats_frozen_under_no_grad(self):
         rng = np.random.default_rng(13)
         x = T.Tensor(rng.normal(loc=1.5, size=(4, 2, 3, 5)))
         gamma, beta = T.Tensor(np.ones(2)), T.Tensor(np.zeros(2))
-        running = T.RunningStats(2)
+        mean, var = np.zeros(2), np.ones(2)
         with T.no_grad():
-            T.batch_norm2d(x, gamma, beta, training=True, running=running)
-        np.testing.assert_array_equal(running.mean, np.zeros(2))
-        np.testing.assert_array_equal(running.var, np.ones(2))
-        T.batch_norm2d(x, gamma, beta, training=True, running=running)
-        m = T.RunningStats.MOMENTUM
-        np.testing.assert_allclose(running.mean, m * x.data.mean(axis=(0, 2, 3)))
-        np.testing.assert_allclose(running.var, (1 - m) + m * x.data.var(axis=(0, 2, 3)))
+            T.batch_norm2d(x, gamma, beta, training=True, running_mean=mean, running_var=var)
+        np.testing.assert_array_equal(mean, np.zeros(2))
+        np.testing.assert_array_equal(var, np.ones(2))
+        T.batch_norm2d(x, gamma, beta, training=True, running_mean=mean, running_var=var)
+        m = T.BN_MOMENTUM
+        np.testing.assert_allclose(mean, m * x.data.mean(axis=(0, 2, 3)))
+        np.testing.assert_allclose(var, (1 - m) + m * x.data.var(axis=(0, 2, 3)))
 
     @pytest.mark.parametrize("training", [True, False])
     def test_non_contiguous_input_matches_contiguous_copy(self, training):
@@ -250,12 +274,11 @@ class TestBatchNorm:
         gamma = rng.normal(size=2)
         beta = rng.normal(size=2)
         g = rng.normal(size=view.shape)
-        running = T.RunningStats(2)
-        running.var = rng.uniform(0.5, 2.0, size=2)
+        mean, var = np.zeros(2), rng.uniform(0.5, 2.0, size=2)
         results = []
         for data in (view, np.ascontiguousarray(view)):
             xt, gt, bt = (T.Tensor(a, requires_grad=True) for a in (data, gamma, beta))
-            y = T.batch_norm2d(xt, gt, bt, training=training, running=running)
+            y = T.batch_norm2d(xt, gt, bt, training=training, running_mean=mean, running_var=var)
             T.reduce(T.mul(y, T.Tensor(g)), None, "sum").backward()
             results.append((y.data, xt.grad, gt.grad, bt.grad))
         for got, want in zip(*results):
@@ -541,22 +564,21 @@ class TestTapeMemory:
         batch = T.Tensor(rng.normal(loc=3.0, size=(3, 2, 4, 5)))
 
         def grads(between):
-            running = T.RunningStats(2)
-            running.mean = np.array([0.5, -1.0])
-            running.var = np.array([2.0, 0.5])
+            mean, var = np.array([0.5, -1.0]), np.array([2.0, 0.5])
             xt, gt, bt = (T.Tensor(a, requires_grad=True) for a in (x, gamma, beta))
-            y = T.batch_norm2d(xt, gt, bt, training=False, running=running)
-            between(running)
+            y = T.batch_norm2d(xt, gt, bt, training=False, running_mean=mean, running_var=var)
+            between(mean, var)
             T.mul(y, T.Tensor(g)).sum().backward()
             return xt.grad, gt.grad, bt.grad
 
-        def update(running):
-            # a checkpoint load writes the stats in place; a training batch replaces them
-            running.mean[...] = 7.0
-            running.var[...] = 9.0
-            T.batch_norm2d(batch, T.Tensor(np.ones(2)), T.Tensor(np.zeros(2)), running=running)
+        def update(mean, var):
+            # a checkpoint load and a training batch both write the stats in place
+            mean[...] = 7.0
+            var[...] = 9.0
+            T.batch_norm2d(batch, T.Tensor(np.ones(2)), T.Tensor(np.zeros(2)),
+                           running_mean=mean, running_var=var)
 
-        for got, want in zip(grads(update), grads(lambda running: None)):
+        for got, want in zip(grads(update), grads(lambda mean, var: None)):
             np.testing.assert_array_equal(got, want)
 
 
@@ -720,7 +742,7 @@ class TestEveryDifferentiableOp:
         rng = np.random.default_rng(zlib.crc32(name.encode()))
         x = rng.normal(size=shape) + 0.1  # nudge away from relu/clamp kinks
         const = T.Tensor(rng.normal(size=shape))
-        h = 1e-5
+        h = T.FD_STEP
         # every input more than h from its kink, or a failure says nothing
         # about the engine: the floor, or the runner-up of its max slice
         floor = {"relu": 0.0, "clamp_min": 0.25}.get(name)
@@ -729,7 +751,7 @@ class TestEveryDifferentiableOp:
         if name == "max":
             runner_up, top = np.sort(x, axis=1)[:, -2:].T
             assert (top - runner_up).min() > h
-        assert T.finite_diff_check(lambda t: fn(t, const), T.Tensor(x), h) < 1e-4
+        assert T.finite_diff_check(lambda t: fn(t, const), T.Tensor(x)) < 1e-4
 
     def test_adaptive_avg_pool(self):
         # pooling 5x7 maps to a 2x3 grid is folded into the grids, and the

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tfctx import backbone, blocks, config, features, losses, train
-from tfctx.tensor import Tensor
+from tfctx.tensor import Module, Tensor
 
 
 def micro_config(tmp_path, seed=11):
@@ -155,6 +155,17 @@ def layout_digest(embedder) -> str:
     return hashlib.sha256(repr(layout).encode()).hexdigest()
 
 
+def batch_norms(module, prefix=""):
+    """``(path, layer)`` of every ``BatchNormLayer`` in a module tree, in
+    walk order."""
+    for name, value in module.members():
+        path = f"{prefix}.{name}" if prefix else name
+        if isinstance(value, backbone.BatchNormLayer):
+            yield path, value
+        elif isinstance(value, Module):
+            yield from batch_norms(value, path)
+
+
 # digests of the layouts of the 60 toy settings below (the defaults with each
 # toy variant, insertion, stage set and transform) and of the full-scale config
 TOY_LAYOUTS_SHA256 = "b804ea70f237fa7fac51a111a55f5dbeb8693d2e9fdf0da589f8cf389434d6e4"
@@ -184,6 +195,25 @@ class TestCheckpointLayout:
                                        "configs", "full_scale.json"))
         embedder = train.build_embedder(cfg, np.random.default_rng(0))
         assert layout_digest(embedder) == FULL_SCALE_LAYOUT_SHA256
+
+    @pytest.mark.parametrize("source", sorted(config.TOY_VARIANTS) + ["full_scale.json"])
+    def test_state_is_the_batch_norms_running_arrays(self, source):
+        """The walk takes every ndarray attribute for checkpoint state: the
+        only ones are each batch norm's running mean and variance."""
+        if source == "full_scale.json":
+            cfg = config.load(os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                                           "configs", source))
+        else:
+            cfg = config.RunConfig()
+            cfg.model.block.kind, cfg.model.block.tfe = config.TOY_VARIANTS[source]
+        embedder = train.build_embedder(config.validate(cfg), np.random.default_rng(0))
+        norms = dict(batch_norms(embedder))
+        assert len(norms) >= 10
+        want = [(f"{path}.{name}", getattr(bn, name)) for path, bn in norms.items()
+                for name in ("running_mean", "running_var")]
+        got = embedder.named_state()
+        assert [name for name, _ in got] == [name for name, _ in want]
+        assert all(a is b for (_, a), (_, b) in zip(got, want))
 
     def test_training_heads(self):
         head = losses.ClassifierHead(3, 8, np.random.default_rng(0))
