@@ -56,10 +56,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--insertions", nargs="+", choices=backbone.INSERTION_POSITIONS,
                    help="block insertion positions (default: the config's)")
 
-    p = sub.add_parser("grad-check", help="finite-difference check every block variant")
+    p = sub.add_parser("grad-check", help="complex-step check of every block, both losses and a micro network")
     p.add_argument("--seed", type=int, default=1234)
-    p.add_argument("--skip-full-network", action="store_true",
-                   help="skip the miniature end-to-end check")
 
     p = sub.add_parser("export-dct", help="write DCT basis grids as CSV files")
     p.add_argument("--grid-f", type=int, default=8, help="frequency extent of the grid")
@@ -122,8 +120,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_grad_check(args) -> int:
-    report = gradcheck.run_grad_checks(seed=args.seed,
-                                       include_full_network=not args.skip_full_network)
+    report = gradcheck.run_grad_checks(seed=args.seed)
     width = max(len(n) for n in report)
     failed = False
     for name, err in report.items():

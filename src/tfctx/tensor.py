@@ -12,7 +12,7 @@ and its parents, so an intermediate nobody else holds is freed during the
 replay, gradient included. Tensors the caller still holds keep their
 ``grad``. Inside ``no_grad()`` nothing is recorded at all, which is how
 inference (``Embedder.embed`` in eval mode) and the numeric side of the
-finite-difference checkers run.
+gradient checkers run.
 
 A closure keeps no array that its parents' ``data`` and a few per-channel
 vectors determine; the VJP rebuilds it with the forward pass's
@@ -21,24 +21,24 @@ padded input, ``batch_norm2d`` no normalized map (only the shift and
 ``1/sqrt(var + eps)`` per channel) and ``standardize_over`` no centred
 grid (only the mean). The consequence: a parent's ``data`` must not be
 mutated between the forward pass and its ``backward``. The optimizer and
-the finite-difference checkers change parameters only after the analytic
-backward has run.
+the gradient checkers change parameters only after the analytic backward
+has run.
 
-The finite-difference loop can restart a loss part way through. A
-``StagedLoss`` is a chain of ``Segment``s, each reading only its own
-members' parameters, and it tags each parameter with the segment that
-reads it; per perturbation the loop then re-runs only the segments from
-that one on, starting from a cached segment input that was computed under
-``no_grad()``. Two rules keep this exact: no segment reads a later
-segment's parameters, and no op mutates its input's ``data``, so a cached
-input stays what a full re-run would compute.
+The gradient checkers bind a parameter's ``data`` to a complex copy (the
+complex step), so every forward op keeps its inputs' dtype; the branch ops
+compare real parts first, as numpy orders complex numbers. ``Tensor(...)``
+and a constant operand refuse complex data with a TypeError, and no VJP
+sees it: the checkers record no tape. A ``StagedLoss`` lets them re-run
+only the segments from the one that reads the perturbed parameter on,
+from a cached input; no segment reads a later segment's parameters and no
+op mutates its input's ``data``, so that is exact.
 
 Every contraction but one, ``einsum2`` and its two VJPs as well as the
 three inside ``conv2d``, takes one route: ``_contract``, a batched matmul
 over a permutation plan cached per spec. Its values equal ``np.einsum``'s
 to rounding, without the path search that a path-optimizing einsum runs
 on every call, which dominated the cost of the small ops the
-finite-difference checks run by the hundred thousand. The exception is
+gradient checks run by the hundred thousand. The exception is
 ``linear`` (``x @ w.T``). Through ``_contract`` its forward pass and its
 weight gradient kept their bits, but its input gradient changed bits in
 50 of the 475 ``linear`` VJPs of a one-epoch DCT-GCM+TFE toy training
@@ -95,23 +95,29 @@ def no_grad():
 def _all_finite(a: np.ndarray) -> bool:
     """Exact, and one pass with no temporary in the common case: a sum is
     finite only if every term is, and a sum of finite terms that overflows
-    falls back to the elementwise test. The sum may raise numpy's overflow
+    falls back to the elementwise test. The sum's modulus (which a complex
+    sum needs) is tested the same way. The sum may raise numpy's overflow
     or invalid-value warning on the way."""
-    return math.isfinite(np.add.reduce(a, None)) or bool(np.isfinite(a).all())
+    return math.isfinite(abs(np.add.reduce(a, None))) or bool(np.isfinite(a).all())
+
+
+def _float64(data) -> np.ndarray:
+    # a complex array raises TypeError instead of losing its imaginary part
+    return np.asarray(data).astype(np.float64, casting="same_kind", copy=False)
 
 
 class Tensor:
     """N-dimensional real array, optionally recording ops for backward().
 
-    ``data`` is a float64 numpy array, ``grad`` is populated with an
-    identically shaped array after backward.
+    ``data`` is a float64 array (complex only inside the gradient checkers),
+    ``grad`` is populated with an identically shaped array after backward.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_backward_done",
                  "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = _float64(data)
         if not _all_finite(self.data):
             raise NumericalError("tensor holds non-finite values")
         self.grad: np.ndarray | None = None
@@ -159,7 +165,7 @@ class Tensor:
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeError(f"expected a scalar tensor, got shape {self.shape}")
-        return float(self.data.reshape(-1)[0])
+        return float(self.data.reshape(-1)[0].real)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -247,7 +253,7 @@ def _coerce(x, check: bool = True) -> Tensor:
     ``check=False``: their output check rejects a non-finite constant."""
     if isinstance(x, Tensor):
         return x
-    return Tensor(x) if check else Tensor._from_op(np.asarray(x, dtype=np.float64), (), None, False)
+    return Tensor(x) if check else Tensor._from_op(_float64(x), (), None, False)
 
 
 # -- elementwise ------------------------------------------------------------
@@ -519,7 +525,7 @@ def linear(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
         raise ShapeError(f"bias shape {bias.shape} does not match {w.shape[0]} outputs")
     y = x.data @ w.data.T
     if bias is not None:
-        y += bias.data
+        y = y + bias.data
 
     def vjp(g):
         if x.requires_grad:
@@ -608,7 +614,7 @@ def _windows(data: np.ndarray, kernel: tuple[int, int], stride: tuple[int, int],
     (kf, kt), (sf, st), (pf, pt), (fo, to) = kernel, stride, padding, out_extent
     xp = data
     if pf or pt:
-        xp = np.zeros((n, c, f + 2 * pf, t + 2 * pt))
+        xp = np.zeros((n, c, f + 2 * pf, t + 2 * pt), data.dtype)
         xp[:, :, pf: pf + f, pt: pt + t] = data
     s_n, s_c, s_f, s_t = xp.strides
     return np.lib.stride_tricks.as_strided(
@@ -749,7 +755,7 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5,
 
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv[:, None]
-    y = xhat * gamma.data[:, None]
+    y = np.multiply(xhat, gamma.data[:, None], dtype=np.result_type(xhat, gamma.data, beta.data))
     y += beta.data[:, None]
 
     def vjp(g):
@@ -781,39 +787,36 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5,
 
 # -- gradient oracle ----------------------------------------------------------
 
-# the central-difference step of both checkers
-FD_STEP = 1e-5
-
-
 def finite_diff_check(fn: Callable[[Tensor], Tensor], x: Tensor) -> float:
-    """Compare reverse-mode gradients of ``fn`` against central differences.
-
-    Returns max over elements of |analytic - numeric| / max(1, |analytic|,
-    |numeric|); ``fn`` must map a tensor to a scalar tensor.
-    """
+    """``finite_diff_check_params`` for one input ``x`` of ``fn``, a map from
+    a tensor to a scalar tensor: the max relative error over its entries."""
     probe = Tensor(x.data.copy(), requires_grad=True)
-    return _central_differences(lambda: fn(probe), [("x", probe)])["x"]
+    return _complex_step(lambda: fn(probe), [("x", probe)])["x"]
 
 
 def finite_diff_check_params(loss_fn: Callable[..., Tensor],
                              named_params: Iterable[tuple]) -> dict[str, float]:
-    """Check recorded gradients of named parameters against central
-    differences.
+    """Check recorded gradients of named parameters against the complex
+    step (Squire & Trapp 1998; Martins, Sturdza & Alonso 2003): the
+    derivative along an entry is ``Im loss(p + i*h) / h``, one evaluation
+    with nothing subtracted, so it is exact to rounding, and a kink matters
+    only when an input's real part sits exactly on it.
 
     ``loss_fn`` re-runs the forward pass reading each parameter's current
-    ``data``; parameters are perturbed in place for the numeric side, which
-    runs under ``no_grad()``. Each entry of ``named_params`` is a
-    ``(name, tensor)`` pair, for which ``loss_fn()`` runs the whole loss,
-    or a ``(name, tensor, segment)`` triple (``StagedLoss.named_parameters``),
-    for which ``loss_fn(segment)`` runs it from that segment on and the
-    analytic side calls ``loss_fn(0)``. A pair is the one-segment case of
-    the same loop. ``loss_fn`` is called exactly once per evaluation.
-    Returns the max relative error per parameter name.
+    ``data``, which the numeric side, under ``no_grad()``, binds to a
+    complex copy and then back to the real array. Each entry of
+    ``named_params`` is a ``(name, tensor)`` pair, for which ``loss_fn()``
+    runs the whole loss, or a ``(name, tensor, segment)`` triple
+    (``StagedLoss.named_parameters``), for which ``loss_fn(segment)`` runs
+    it from that segment on and the analytic side calls ``loss_fn(0)``. A
+    pair is the one-segment case of the same loop. ``loss_fn`` is called
+    exactly once per evaluation. Returns, per parameter name, the max over
+    its entries of |analytic - numeric| / max(1, |analytic|, |numeric|).
     """
-    return _central_differences(loss_fn, named_params)
+    return _complex_step(loss_fn, named_params)
 
 
-def _central_differences(loss_fn, named_params) -> dict[str, float]:
+def _complex_step(loss_fn, named_params) -> dict[str, float]:
     # a pair's empty tag calls loss_fn with no argument
     params = [(name, p, tuple(segment)) for name, p, *segment in named_params]
     for _, p, _ in params:
@@ -824,19 +827,21 @@ def _central_differences(loss_fn, named_params) -> dict[str, float]:
     for _, p, _ in params:
         p.grad = None
 
+    h = 1e-20  # the truncation error is O(h^2), far below rounding
     errors: dict[str, float] = {}
     with no_grad():
         for name, p, segment in params:
+            real = p.data
+            p.data = real.astype(np.complex128)
             flat = p.data.reshape(-1)
             numeric = np.empty(flat.size)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + FD_STEP
-                up = loss_fn(*segment).item()
-                flat[i] = orig - FD_STEP
-                down = loss_fn(*segment).item()
-                flat[i] = orig
-                numeric[i] = (up - down) / (2.0 * FD_STEP)
+            try:
+                for i in range(flat.size):
+                    flat[i] += h * 1j
+                    numeric[i] = loss_fn(*segment).data.imag.item() / h
+                    flat[i] = real.flat[i]
+            finally:
+                p.data = real
             a = analytic[name].reshape(-1)
             denom = np.maximum(1.0, np.maximum(np.abs(a), np.abs(numeric)))
             errors[name] = float(np.max(np.abs(a - numeric) / denom)) if flat.size else 0.0

@@ -573,14 +573,22 @@ class TestDeterminism:
 
 class TestGradCheckCommand:
     def test_passes_and_lists_every_variant_once(self, capsys):
-        assert cli.main(["grad-check", "--skip-full-network"]) == 0
+        assert cli.main(["grad-check"]) == 0
         out = capsys.readouterr().out.splitlines()
         names = [line.split()[0] for line in out if line.strip()]
         for expected in ("se_fc", "se_conv1d", "att_gcm_fc", "att_gcm_conv1d", "att_gcm_tfe",
                          "dct_gcm_fc", "dct_gcm_conv1d", "dct_gcm_tfe",
-                         "loss_softmax_ce", "loss_angular_proto"):
+                         "loss_softmax_ce", "loss_angular_proto", "full_network"):
             assert names.count(expected) == 1
         assert all("PASS" in line for line in out if line.strip())
+
+    def test_seed_34_passes(self, capsys):
+        """Central differences failed this seed on a correct engine: an
+        input of the full network sat within their step of a kink."""
+        assert cli.main(["grad-check", "--seed", "34"]) == 0
+        out = [line for line in capsys.readouterr().out.splitlines() if line.strip()]
+        assert len(out) == 11
+        assert all(line.endswith("PASS") for line in out)
 
     def test_corrupted_gradient_detected(self, monkeypatch, capsys):
         """Negative control: break one backward rule, expect a FAIL exit."""
@@ -596,7 +604,7 @@ class TestGradCheckCommand:
 
         monkeypatch.setattr(T, "tanh", bad_tanh)
         try:
-            code = cli.main(["grad-check", "--skip-full-network"])
+            code = cli.main(["grad-check"])
         finally:
             monkeypatch.setattr(T, "tanh", true_tanh)
         assert code == 3

@@ -633,6 +633,24 @@ class TestFiniteDiff:
 
         assert T.finite_diff_check(broken_square_sum, T.Tensor([1.0, 2.0])) > 1e-4
 
+    @pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
+    def test_parameter_gets_its_real_array_back(self, fails):
+        w = T.Tensor([0.5, -1.5], requires_grad=True)
+        before = w.data
+
+        def loss():
+            if fails and np.iscomplexobj(w.data):
+                raise NumericalError("planted")
+            return T.reduce(T.mul(w, w), (0,), "sum")
+
+        if fails:
+            with pytest.raises(NumericalError, match="planted"):
+                T.finite_diff_check_params(loss, [("w", w)])
+        else:
+            assert T.finite_diff_check_params(loss, [("w", w)])["w"] < 1e-15
+        assert w.data is before
+        np.testing.assert_array_equal(before, [0.5, -1.5])
+
 
 # every spec the blocks and conv2d contract, then four more layouts: the
 # two-step pooling of a (K, F, T) grid stack
@@ -654,7 +672,7 @@ def _operands(spec, extents, seed=0):
 
 class TestContract:
     """``_contract`` against ``np.einsum``, and einsum2's VJPs against
-    central differences."""
+    the complex step."""
 
     @pytest.mark.parametrize("spec", CONTRACT_SPECS + [s for spec in EINSUM2_SPECS for s in T._vjp_specs(spec)])
     def test_matches_einsum(self, spec):
@@ -710,7 +728,7 @@ class TestContract:
 
 
 class TestEveryDifferentiableOp:
-    """Spec invariant: each primitive passes the finite-difference oracle on
+    """Spec invariant: each primitive passes the complex-step oracle on
     small random inputs."""
 
     @pytest.mark.parametrize("name,fn,shape", [
@@ -740,17 +758,16 @@ class TestEveryDifferentiableOp:
         # crc32, not hash(): str hashes are salted per process, so a seed
         # from hash() draws new inputs on every run
         rng = np.random.default_rng(zlib.crc32(name.encode()))
-        x = rng.normal(size=shape) + 0.1  # nudge away from relu/clamp kinks
+        x = rng.normal(size=shape)
         const = T.Tensor(rng.normal(size=shape))
-        h = T.FD_STEP
-        # every input more than h from its kink, or a failure says nothing
-        # about the engine: the floor, or the runner-up of its max slice
+        # no input exactly on its kink, or a failure says nothing about the
+        # engine: the floor, or a tie for the top of its max slice
         floor = {"relu": 0.0, "clamp_min": 0.25}.get(name)
         if floor is not None:
-            assert np.abs(x - floor).min() > h
+            assert (x != floor).all()
         if name == "max":
             runner_up, top = np.sort(x, axis=1)[:, -2:].T
-            assert (top - runner_up).min() > h
+            assert (top != runner_up).all()
         assert T.finite_diff_check(lambda t: fn(t, const), T.Tensor(x)) < 1e-4
 
     def test_adaptive_avg_pool(self):
@@ -803,6 +820,13 @@ class TestFinitePolicy:
         x = T.Tensor(data)
         assert x.data.dtype == np.float64
         np.testing.assert_array_equal(x.data, np.asarray(data, dtype=np.float64))
+
+    @pytest.mark.parametrize("build", [T.Tensor, lambda data: T.add(T.Tensor([1.0]), data)],
+                             ids=["tensor", "constant"])
+    def test_complex_data_rejected(self, build):
+        # a cast would keep [1.] and drop the imaginary part unseen
+        with pytest.raises(TypeError):
+            build(np.array([1 + 2j]))
 
     def test_nan_input_rejected(self):
         with pytest.raises(NumericalError):
